@@ -159,8 +159,8 @@ serialMrefsOnce(const Trace &t, const CacheConfig &cfg,
 }
 
 /**
- * One single-config pass through the set-partitioned SIMD ladder
- * kernel at @p jobs workers — the path membw_sim takes for a plain
+ * One single-config pass through the set-partitioned ladder kernel
+ * at @p jobs workers — the path membw_sim takes for a plain
  * run at --jobs N.  The decode side is timed too: a real run pays
  * it, so excluding it would inflate the speedup.  Like membw_sim,
  * the pass first attempts the fused-decode kernel (self-validating,
@@ -248,11 +248,11 @@ runThroughputHarness(const std::string &jsonPath, unsigned jobs,
 
     CacheConfig cfg;
     // Alpha 21064-class L1: 8 KiB direct-mapped, 32B blocks — the
-    // geometry of the paper's era, and the regime the compact
-    // direct-mapped kernel layout (ladder_kernel.hh) is built for:
-    // the probed state is one word per set, so the whole replica
-    // stays L1-resident while the per-reference simulator walks its
-    // full Cache bookkeeping.
+    // geometry of the paper's era.  The ladder kernel's packed
+    // move-to-front rows (ladder_kernel.hh) hold one word per way,
+    // so a direct-mapped replica is one word per set and stays
+    // L1-resident while the per-reference simulator walks its full
+    // Cache bookkeeping.
     cfg.size = 8_KiB;
     cfg.assoc = 1;
     cfg.blockBytes = 32;
@@ -295,7 +295,7 @@ runThroughputHarness(const std::string &jsonPath, unsigned jobs,
                 row.parallelMrefs,
                 parallelMrefsOnce(t, cfg, jobs, min_runtime));
         // Single-config parallel scaling: ONE configuration through
-        // the set-partitioned SIMD ladder kernel at `jobs` workers,
+        // the set-partitioned ladder kernel at `jobs` workers,
         // against the serial per-reference simulator above.  This is
         // the headline the CI throughput gate watches (>= 3x on at
         // least two workloads).

@@ -143,7 +143,6 @@ CollapsedSweep::CollapsedSweep(const Trace &trace,
                 continue;
             PartitionOptions popt;
             popt.jobs = jobs;
-            popt.tier = options.tier;
             auto res =
                 partitionedLadderSweep(*stream, g.configs, popt);
             if (res) {
@@ -173,8 +172,7 @@ CollapsedSweep::CollapsedSweep(const Trace &trace,
                 const auto stream = makeStream(g.blockBytes);
                 if (!ladderCollapsible(*stream, g.configs))
                     return {};
-                return ladderSweep(*stream, g.configs,
-                                   options.tier);
+                return ladderSweep(*stream, g.configs);
             });
         passResults = std::move(sweep.cells);
     }

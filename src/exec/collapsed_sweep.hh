@@ -39,7 +39,6 @@
 
 #include "cache/config.hh"
 #include "cache/hierarchy.hh"
-#include "exec/simd.hh"
 #include "trace/trace.hh"
 
 namespace membw {
@@ -60,7 +59,10 @@ enum class CellRoute : std::uint8_t
 /** Stable lowercase name for reports and trace span details. */
 const char *cellRouteName(CellRoute route);
 
-/** Knobs for the planner (the 3-argument ctor fills defaults). */
+/** Knobs for the planner (the 3-argument ctor fills defaults).
+ * Every member has a default initializer, so a partial aggregate
+ * such as CollapseOptions{jobs} builds without
+ * -Wmissing-field-initializers. */
 struct CollapseOptions
 {
     /** Worker threads shared by group fan-out and set partitioning. */
@@ -73,9 +75,6 @@ struct CollapseOptions
      * is the escape hatch the partition_equivalence test diffs.
      */
     bool noPartition = false;
-
-    /** Probe tier for the ladder kernels (clamped to the host). */
-    SimdTier tier = simdTier();
 
     /**
      * Zero-copy source: when set, ladder BlockStreams borrow this
@@ -100,7 +99,7 @@ struct CollapseOptions
      * ladder passes when set.
      */
     std::function<std::shared_ptr<const BlockStream>(Bytes blockBytes)>
-        streamProvider;
+        streamProvider{};
 
     /**
      * Artifact-cache hook: supply the Mattson stack-distance profile
@@ -110,7 +109,7 @@ struct CollapseOptions
      */
     std::function<
         std::shared_ptr<const StackDistanceProfile>(Bytes blockBytes)>
-        profileProvider;
+        profileProvider{};
 };
 
 class CollapsedSweep

@@ -5,127 +5,56 @@ namespace ladder {
 
 namespace {
 
-template <bool Masked, bool Filtered>
-ChunkKernel
-pickKernel(unsigned ways, SimdTier tier)
+struct Kernels
 {
-#if MEMBW_SIMD_X86
-    if (tier == SimdTier::Avx2) {
-        switch (ways) {
-        case 1:
-            return &runChunk<ScalarProbe, 1, Masked, Filtered>;
-        case 2:
-            return &runChunk<Sse2Probe, 2, Masked, Filtered>;
-        case 4:
-            return &runChunkAvx2<4, Masked, Filtered>;
-        case 8:
-            return &runChunkAvx2<8, Masked, Filtered>;
-        default:
-            return &runChunkAvx2<0, Masked, Filtered>;
-        }
-    }
-    if (tier == SimdTier::Sse2) {
-        switch (ways) {
-        case 1:
-            return &runChunk<ScalarProbe, 1, Masked, Filtered>;
-        case 2:
-            return &runChunk<Sse2Probe, 2, Masked, Filtered>;
-        case 4:
-            return &runChunk<Sse2Probe, 4, Masked, Filtered>;
-        case 8:
-            return &runChunk<Sse2Probe, 8, Masked, Filtered>;
-        default:
-            return &runChunk<Sse2Probe, 0, Masked, Filtered>;
-        }
-    }
-#endif
-    (void)tier;
+    ChunkKernel chunk;
+    WordKernel word;
+};
+
+template <unsigned W, bool Masked, bool Filtered>
+constexpr Kernels kernels{&runChunk<W, Masked, Filtered>,
+                          &runWordChunk<W, Masked, Filtered>};
+
+template <bool Masked, bool Filtered>
+Kernels
+pickKernels(unsigned ways)
+{
     switch (ways) {
     case 1:
-        return &runChunk<ScalarProbe, 1, Masked, Filtered>;
+        return kernels<1, Masked, Filtered>;
     case 2:
-        return &runChunk<ScalarProbe, 2, Masked, Filtered>;
+        return kernels<2, Masked, Filtered>;
     case 4:
-        return &runChunk<ScalarProbe, 4, Masked, Filtered>;
+        return kernels<4, Masked, Filtered>;
     case 8:
-        return &runChunk<ScalarProbe, 8, Masked, Filtered>;
+        return kernels<8, Masked, Filtered>;
     default:
-        return &runChunk<ScalarProbe, 0, Masked, Filtered>;
+        return kernels<0, Masked, Filtered>;
     }
 }
 
-template <bool Masked, bool Filtered>
-WordKernel
-pickWordKernel(unsigned ways, SimdTier tier)
+Kernels
+selectKernels(unsigned ways, bool masked, bool filtered)
 {
-#if MEMBW_SIMD_X86
-    if (tier == SimdTier::Avx2) {
-        switch (ways) {
-        case 1:
-            return &runWordChunk<ScalarProbe, 1, Masked, Filtered>;
-        case 2:
-            return &runWordChunk<Sse2Probe, 2, Masked, Filtered>;
-        case 4:
-            return &runWordChunkAvx2<4, Masked, Filtered>;
-        case 8:
-            return &runWordChunkAvx2<8, Masked, Filtered>;
-        default:
-            return &runWordChunkAvx2<0, Masked, Filtered>;
-        }
-    }
-    if (tier == SimdTier::Sse2) {
-        switch (ways) {
-        case 1:
-            return &runWordChunk<ScalarProbe, 1, Masked, Filtered>;
-        case 2:
-            return &runWordChunk<Sse2Probe, 2, Masked, Filtered>;
-        case 4:
-            return &runWordChunk<Sse2Probe, 4, Masked, Filtered>;
-        case 8:
-            return &runWordChunk<Sse2Probe, 8, Masked, Filtered>;
-        default:
-            return &runWordChunk<Sse2Probe, 0, Masked, Filtered>;
-        }
-    }
-#endif
-    (void)tier;
-    switch (ways) {
-    case 1:
-        return &runWordChunk<ScalarProbe, 1, Masked, Filtered>;
-    case 2:
-        return &runWordChunk<ScalarProbe, 2, Masked, Filtered>;
-    case 4:
-        return &runWordChunk<ScalarProbe, 4, Masked, Filtered>;
-    case 8:
-        return &runWordChunk<ScalarProbe, 8, Masked, Filtered>;
-    default:
-        return &runWordChunk<ScalarProbe, 0, Masked, Filtered>;
-    }
+    if (masked)
+        return filtered ? pickKernels<true, true>(ways)
+                        : pickKernels<true, false>(ways);
+    return filtered ? pickKernels<false, true>(ways)
+                    : pickKernels<false, false>(ways);
 }
 
 } // namespace
 
 ChunkKernel
-selectKernel(unsigned ways, SimdTier tier, bool masked, bool filtered)
+selectKernel(unsigned ways, bool masked, bool filtered)
 {
-    tier = clampSimdTier(tier);
-    if (masked)
-        return filtered ? pickKernel<true, true>(ways, tier)
-                        : pickKernel<true, false>(ways, tier);
-    return filtered ? pickKernel<false, true>(ways, tier)
-                    : pickKernel<false, false>(ways, tier);
+    return selectKernels(ways, masked, filtered).chunk;
 }
 
 WordKernel
-selectWordKernel(unsigned ways, SimdTier tier, bool masked,
-                 bool filtered)
+selectWordKernel(unsigned ways, bool masked, bool filtered)
 {
-    tier = clampSimdTier(tier);
-    if (masked)
-        return filtered ? pickWordKernel<true, true>(ways, tier)
-                        : pickWordKernel<true, false>(ways, tier);
-    return filtered ? pickWordKernel<false, true>(ways, tier)
-                    : pickWordKernel<false, false>(ways, tier);
+    return selectKernels(ways, masked, filtered).word;
 }
 
 void

@@ -4,28 +4,24 @@
  * time_partition.cc.  Not installed API — tools and tests go through
  * ladder_sweep.hh / time_partition.hh.
  *
- * The kernel body lives here as a function template monomorphized on
- * four axes:
+ * Each replica keeps its sets as move-to-front rows (ConfigSim): the
+ * ways of a set are stored in recency order, so LRU needs no stamps
+ * and a plain way packs into one word.  The kernel body is a function
+ * template monomorphized on three axes:
  *
- *  - Probe  — the tag-compare engine (simd.hh: scalar / SSE2 / AVX2),
  *  - W      — the way count baked in at compile time for the hot
  *             geometries (1, 2, 4, 8; 0 keeps it a runtime value),
  *  - Masked — plain vs write-validate (per-word valid/dirty masks),
  *  - Filtered — whether the kernel skips references outside its
- *             owned set range (time-partitioned workers).
+ *             owned set range (set-partitioned workers),
  *
- * selectKernel() maps a (ways, tier, masked, filtered) point to one
- * stamped-out instantiation, chosen once per configuration so the
+ * plus the reference source (decoded BlockStream or fused word
+ * decode).  selectKernel() maps a (ways, masked, filtered) point to
+ * one stamped-out instantiation, chosen once per configuration so the
  * per-chunk call is a single indirect jump to straight-line code.
- * Every instantiation is counter-identical to every other — the
- * probes all report the lowest matching way and the accounting is
- * shared — which is what lets the equivalence tests demand byte-equal
- * results across tiers, way specializations, and partition counts.
- *
- * AVX2 instantiations are routed through a target("avx2") wrapper so
- * the probe inlines into the chunk loop (GCC/clang refuse to inline
- * across mismatched target attributes); the wrapper is only ever
- * selected after simdTier() has verified host support.
+ * Every instantiation is counter-identical to Cache::access(), which
+ * is what lets the equivalence tests demand byte-equal results across
+ * way specializations, sources and partition counts.
  */
 
 #ifndef MEMBW_EXEC_LADDER_KERNEL_HH
@@ -38,14 +34,14 @@
 #include "cache/cache.hh"
 #include "cache/config.hh"
 #include "cache/hierarchy.hh"
-#include "exec/simd.hh"
 #include "trace/block_stream.hh"
 
 namespace membw {
 namespace ladder {
 
-/** Empty tag sentinel: block numbers are addr >> log2(block) with
- * block >= 4B, so ~0 can never collide with a real block number. */
+/** Empty way sentinel: block numbers are addr >> log2(block) with
+ * block >= 4B, so bits 62-63 are clear; ~0 is never an encoded way,
+ * and ~0 >> 1 never equals a block number, so probes skip it. */
 constexpr std::uint64_t tagInvalid = ~std::uint64_t{0};
 
 struct ConfigSim;
@@ -65,39 +61,42 @@ using WordKernel = bool (*)(ConfigSim &, const MemRef *, std::size_t,
 
 /**
  * Flat-array replica of one Cache, specialized for the ladder
- * regime (LRU, no sector/stream/prefetch).  The per-line state is
- * interleaved per set — one row of 4*ways words laid out
- * [tags | lastUse | dirty | valid], rows 64B-aligned — so the
- * hit path of a 4-way config touches exactly one cache line (tags
- * and lastUse share it) instead of one line per parallel array.
- * The working set is L2-resident for the classic geometries, and
- * that line-per-probe difference is the kernel's dominant cost.
- * The LRU sequence counter and every counter update mirror
- * Cache::access()/evict()/insert() exactly, so the final CacheStats
- * match the direct simulator bit for bit.
+ * regime (LRU, no sector/stream/prefetch).  Each set is one row whose
+ * ways are kept in recency order, most recently used first, so the
+ * LRU state is the order itself and no per-way stamp is stored:
+ *
+ *  - a hit at way w rotates row[0..w], moving the block to the front;
+ *  - a miss evicts row[ways-1] (the LRU block) and shifts the rest
+ *    down one, placing the new block at the front;
+ *  - invalid ways are always at the tail, so a set with a free way
+ *    fills it with no eviction counted, as Cache::access() does.
+ *
+ * This is exact: Cache::access() stamps every touch with a unique
+ * sequence number, so its lowest-lastUse victim is precisely the
+ * block at the tail of this order, and every counter matches bit for
+ * bit.  Way indices differ from the direct simulator's, but no
+ * counter depends on them.
+ *
+ * A plain (not write-validate) way is one packed word,
+ * (blockNum << 1) | dirty: the dirty mask only ever matters as a
+ * boolean there (write-back bytes are always blockBytes).  The shift
+ * is lossless — block numbers are addr >> log2(block) with block
+ * >= 4B, so bit 63 is always clear — and an encoded way can never
+ * equal tagInvalid.  A 4-way row is 32 bytes, so from the 64B-aligned
+ * base no row straddles a host cache line.  A masked (write-validate) row carries three
+ * planes, [tags | dirty | valid], whose per-way word masks move with
+ * their tags; its tag words use the same encoding with the dirty bit
+ * clear.  The planes of an invalid way are never read.
  *
  * A partitioned replica owns sets [setLo, setLo + setSpan) only: its
- * rows cover just that span and its private seq counter preserves
- * the *per-set* reference order (all references to one set funnel
- * through one replica in trace order), which is the only order LRU
+ * rows cover just that span, and every reference to one set funnels
+ * through one replica in trace order, which is the only order LRU
  * decisions depend on.
- *
- * Direct-mapped non-write-validate configs (dm below) collapse the
- * whole row to ONE word per set, line[s] = (tag << 1) | dirty: with
- * one way there is no lastUse to keep, the valid plane is the
- * tagInvalid sentinel, and the dirty mask only ever matters as a
- * boolean (write-back bytes are always blockBytes when !masked).
- * The shift is lossless — tags are addr >> log2(block) with block
- * >= 4B, so bit 63 is always clear — and the encoded word can never
- * equal tagInvalid.  This shrinks the probed state 4x (a 64 KiB/32B
- * config needs 16 KiB instead of 64 KiB), which keeps classic
- * direct-mapped geometries L1-resident on the host.
  */
 struct ConfigSim
 {
-    const CacheConfig *cfg = nullptr;
     unsigned ways = 1;
-    unsigned stride = 4; ///< u64s per set row (4 * ways)
+    unsigned stride = 1; ///< u64s per set row (ways, 3 * ways masked)
     std::uint64_t setMask = 0;
     std::uint64_t setLo = 0;   ///< first owned set
     std::uint64_t setSpan = 0; ///< owned set count
@@ -105,46 +104,39 @@ struct ConfigSim
     bool writeBack = true;
     AllocPolicy alloc = AllocPolicy::WriteAllocate;
     bool masked = false; ///< write-validate: per-word valid/dirty
-    bool dm = false;     ///< compact 1-word-per-set layout (see above)
     std::uint64_t fullMask = 0;
     ChunkKernel kernel = nullptr;
 
-    std::uint64_t seq = 0;
-    std::vector<std::uint64_t> lineStore; ///< backing (over-allocated)
-    std::uint64_t *line = nullptr;        ///< 64B-aligned row base
+    std::vector<std::uint64_t> rowStore; ///< backing (over-allocated)
+    std::uint64_t *rows = nullptr;       ///< 64B-aligned row base
     CacheStats stats;
 
     /** Full replica (all sets) unless a [setLo, setLo+setSpan) range
      * is given; @p span == 0 means "every set". */
     explicit ConfigSim(const CacheConfig &config, std::uint64_t lo = 0,
                        std::uint64_t span = 0)
-        : cfg(&config),
-          ways(config.ways()),
+        : ways(config.ways()),
           setMask(config.sets() - 1),
           setLo(lo),
           setSpan(span ? span : config.sets()),
           blockBytes(config.blockBytes),
           writeBack(config.write == WritePolicy::WriteBack),
           alloc(config.alloc),
-          masked(config.alloc == AllocPolicy::WriteValidate),
-          dm(config.ways() == 1 &&
-             config.alloc != AllocPolicy::WriteValidate)
+          masked(config.alloc == AllocPolicy::WriteValidate)
     {
         const unsigned wordsPerBlock =
             static_cast<unsigned>(blockBytes / wordBytes);
         fullMask = wordsPerBlock == 64
                        ? ~std::uint64_t{0}
                        : (std::uint64_t{1} << wordsPerBlock) - 1;
-        stride = dm ? 1 : 4 * ways;
-        const std::size_t words =
-            static_cast<std::size_t>(setSpan) * stride;
-        lineStore.assign(words + 8, 0);
-        line = lineStore.data();
-        while (reinterpret_cast<std::uintptr_t>(line) % 64 != 0)
-            ++line;
-        for (std::uint64_t s = 0; s < setSpan; ++s)
-            for (unsigned w = 0; w < ways; ++w)
-                line[s * stride + w] = tagInvalid;
+        stride = masked ? 3 * ways : ways;
+        // Every word starts as tagInvalid: the tag plane is then
+        // empty, and the masked planes of invalid ways are don't-care.
+        rowStore.assign(static_cast<std::size_t>(setSpan) * stride + 8,
+                        tagInvalid);
+        rows = rowStore.data();
+        while (reinterpret_cast<std::uintptr_t>(rows) % 64 != 0)
+            ++rows;
     }
 
     /** End-of-run flush over the owned lines, identical to
@@ -153,34 +145,21 @@ struct ConfigSim
     void
     flush()
     {
-        if (dm) {
-            for (std::uint64_t s = 0; s < setSpan; ++s) {
-                const std::uint64_t t = line[s];
-                if (t == tagInvalid)
-                    continue;
-                stats.evictions++;
-                if (t & 1) {
-                    stats.writebacks++;
-                    stats.flushWritebackBytes += blockBytes;
-                }
-                line[s] = tagInvalid;
-            }
-            return;
-        }
         for (std::uint64_t s = 0; s < setSpan; ++s) {
-            std::uint64_t *const row = line + s * stride;
-            for (unsigned w = 0; w < ways; ++w) {
-                if (row[w] == tagInvalid)
-                    continue;
+            std::uint64_t *const row = rows + s * stride;
+            // Valid ways form a prefix of the row.
+            for (unsigned w = 0; w < ways && row[w] != tagInvalid;
+                 ++w) {
                 stats.evictions++;
-                if (row[2 * ways + w]) {
-                    const Bytes wb =
-                        masked ? static_cast<Bytes>(std::popcount(
-                                     row[2 * ways + w])) *
+                const std::uint64_t dirty =
+                    masked ? row[ways + w] : row[w] & 1;
+                if (dirty) {
+                    stats.writebacks++;
+                    stats.flushWritebackBytes +=
+                        masked ? static_cast<Bytes>(
+                                     std::popcount(dirty)) *
                                      wordBytes
                                : blockBytes;
-                    stats.writebacks++;
-                    stats.flushWritebackBytes += wb;
                 }
                 row[w] = tagInvalid;
             }
@@ -263,30 +242,35 @@ struct WordSource
     }
 };
 
+/** Move plane[pos] to the front, shifting plane[0..pos) down one. */
+inline void
+rotateToFront(std::uint64_t *plane, unsigned pos)
+{
+    const std::uint64_t moved = plane[pos];
+    for (unsigned k = pos; k > 0; --k)
+        plane[k] = plane[k - 1];
+    plane[0] = moved;
+}
+
 /**
  * Replay source references [begin, end).  Masked selects the
  * write-validate variant (per-word valid/dirty, partial fills;
- * validate() guarantees WV is write-back); the plain variant tracks
- * a written-word mask per line as the dirty flag only.  Filtered
- * skips references whose set is outside [setLo, setLo + setSpan).
+ * validate() guarantees WV is write-back); the plain variant keeps
+ * only a dirty bit per way.  Filtered skips references whose set is
+ * outside [setLo, setLo + setSpan).  W bakes the way count in at
+ * compile time (0 reads it from the sim), which lets the probe and
+ * the row rotations unroll.
  *
- * The hot state lives in locals for the duration of the chunk: the
- * LRU sequence counter and the stats block would otherwise round-trip
- * through memory on every reference (the compiler cannot prove the
- * line rows don't alias the sim object).  The tag probe is a random
- * access into an L2-resident working set, but its address comes
- * straight off the sequential source array, so the out-of-order
- * window keeps several probes in flight on its own — measured on the
- * reference traces, explicit software prefetch ahead of the loop only
- * added overhead (the row interleaving already collapsed the probe
- * to a single line).
+ * The probe scans from the MRU way, so the common case — a hit on
+ * the block the set touched last — costs one compare and, for a
+ * load, no row write at all.  Branch-free variants (conditional-move
+ * probe and rotation, rewriting the row on every reference) measured
+ * slower: the unconditional row stores chain each reference to the
+ * previous one through store-to-load forwarding.
  *
- * Victim choice and eviction accounting (the miss path) are identical
- * to pickVictim() + evict(): first invalid way wins (no eviction
- * counted) — found with the same lowest-index probe the hit path
- * uses, keyed on the invalid sentinel — otherwise the lowest-lastUse
- * way (ties to the lowest index) is displaced, with a write-back when
- * dirty.
+ * The counters live in locals for the duration of the chunk:
+ * CacheStats is too wide to register-allocate, and the compiler
+ * cannot prove the rows don't alias the sim object.
  *
  * Returns false (for validating sources) on the first reference that
  * breaks the all-word invariant; the sim state is then partial and
@@ -296,15 +280,14 @@ struct WordSource
  * reference lands in hits+misses, so loads = hits + misses - stores
  * and requestBytes = wordBytes * (hits + misses).
  */
-template <class Probe, unsigned W, bool Masked, bool Filtered,
-          class Source>
+template <unsigned W, bool Masked, bool Filtered, class Source>
 inline bool
 runChunkBody(ConfigSim &c, Source src, std::size_t begin,
              std::size_t end)
 {
     const unsigned n = W ? W : c.ways;
-    const unsigned stride = W ? 4 * W : c.stride;
-    std::uint64_t *const line = c.line;
+    const unsigned stride = Masked ? 3 * n : n;
+    std::uint64_t *const rows = c.rows;
     const std::uint64_t setMask = c.setMask;
     const std::uint64_t setLo = c.setLo;
     const std::uint64_t setSpan = c.setSpan;
@@ -314,19 +297,20 @@ runChunkBody(ConfigSim &c, Source src, std::size_t begin,
     const Bytes blockMask = blockBytes - 1;
     const bool writeBack = c.writeBack;
     const bool writeAllocate = c.alloc == AllocPolicy::WriteAllocate;
-    std::uint64_t seq = c.seq;
     CacheStats st = c.stats;
 
-    // Per-chunk deltas of the per-reference counters, folded into st
-    // on exit.  CacheStats is too wide to register-allocate, so
-    // incrementing its fields directly costs a stack round-trip on
-    // EVERY reference; four plain locals get registers.  loadMisses
-    // and demandFetchBytes are derived at fold time: every load miss
-    // fetches a block, stores fetch only on (unmasked) write-allocate.
+    // Per-chunk deltas, folded into st on exit.  loadMisses and
+    // demandFetchBytes are derived at fold time: every load miss
+    // fetches a block, stores fetch only on (unmasked) write-allocate,
+    // and an unmasked write-back always moves a whole block.
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t storeMisses = 0;
     std::uint64_t stores = 0;
+    std::uint64_t evictions = 0;
+    std::uint64_t writebacks = 0;
+    std::uint64_t maskedWritebackBytes = 0;
+    std::uint64_t writeThroughBytes = 0;
     const auto fold = [&] {
         const std::uint64_t loadMisses = misses - storeMisses;
         st.hits += hits;
@@ -334,131 +318,31 @@ runChunkBody(ConfigSim &c, Source src, std::size_t begin,
         st.loadMisses += loadMisses;
         st.storeMisses += storeMisses;
         st.stores += stores;
+        st.evictions += evictions;
+        st.writebacks += writebacks;
+        st.writebackBytes +=
+            Masked ? maskedWritebackBytes : blockBytes * writebacks;
+        st.writeThroughBytes += writeThroughBytes;
         st.demandFetchBytes +=
             blockBytes *
             (loadMisses +
              ((!Masked && writeAllocate) ? storeMisses : 0));
-        c.seq = seq;
         c.stats = st;
     };
-
-    if constexpr (W == 1 && !Masked) {
-        // Compact direct-mapped loop over the 1-word-per-set layout
-        // (ConfigSim::dm): line[s] = (tag << 1) | dirty.  One load,
-        // one compare per probe, no lastUse bookkeeping (the victim
-        // is always way 0 and counters never read recency), and the
-        // probed state is 4x smaller than the generic rows.  Every
-        // counter update mirrors the generic path exactly: a filled
-        // slot evicts (write-back when dirty), an invalid slot fills
-        // silently, stores dirty the line only under write-back.
-        for (std::size_t i = begin; i < end; ++i) {
-            if constexpr (Source::validating) {
-                // Before the set filter — a non-word reference may
-                // span two sets, so the whole run must restart.
-                if (!src.word(i)) {
-                    fold();
-                    return false;
-                }
-            }
-            const std::uint64_t bn = src.bn(i, blockShift);
-            const std::uint64_t set = bn & setMask;
-            if (Filtered && set - setLo >= setSpan)
-                continue;
-            std::uint64_t *const slot =
-                line + static_cast<std::size_t>(
-                           Filtered ? set - setLo : set);
-            const std::uint64_t t = *slot;
-            const bool hit = (t >> 1) == bn;
-            const auto evictFill = [&](std::uint64_t enc) {
-                if (t != tagInvalid) {
-                    st.evictions++;
-                    if (t & 1) {
-                        st.writebacks++;
-                        st.writebackBytes += blockBytes;
-                    }
-                }
-                *slot = enc;
-            };
-            if (!src.store(i)) {
-                if (hit) {
-                    hits++;
-                } else {
-                    misses++;
-                    evictFill(bn << 1);
-                }
-                continue;
-            }
-            if constexpr (Source::validating)
-                stores++;
-            if (hit) {
-                hits++;
-                if (writeBack)
-                    *slot = t | 1;
-                else
-                    st.writeThroughBytes += src.bytes(i);
-                continue;
-            }
-            misses++;
-            storeMisses++;
-            if (writeAllocate) {
-                evictFill((bn << 1) |
-                          static_cast<std::uint64_t>(writeBack));
-                if (!writeBack)
-                    st.writeThroughBytes += src.bytes(i);
-            } else { // WriteNoAllocate
-                st.writeThroughBytes += src.bytes(i);
-            }
+    // Count the eviction of the tail way ahead of a fill (nothing to
+    // count when it is invalid: invalid ways sit at the tail).
+    const auto evictTail = [&](const std::uint64_t *row) {
+        if (row[n - 1] == tagInvalid)
+            return;
+        evictions++;
+        const std::uint64_t dirty =
+            Masked ? row[2 * n - 1] : row[n - 1] & 1;
+        if (dirty) {
+            writebacks++;
+            if constexpr (Masked)
+                maskedWritebackBytes +=
+                    static_cast<Bytes>(std::popcount(dirty)) * wordBytes;
         }
-        fold();
-        return true;
-    }
-
-    // row layout: [tags | lastUse | dirty | valid], n words each.
-    // Direct-mapped rows are handled by the compact loop above;
-    // touch() still skips lastUse for the W == 1 Masked variant
-    // (write-validate keeps the wide rows for its per-word masks,
-    // but the victim is still always way 0, so the recency stamp
-    // can never influence a decision and the per-reference store +
-    // counter bump it costs is pure waste).
-    auto touch = [&](std::uint64_t *row, unsigned w) {
-        if constexpr (W != 1)
-            row[n + w] = ++seq;
-        else
-            (void)row, (void)w;
-    };
-    auto allocate = [&](std::uint64_t bn,
-                        std::uint64_t *row) -> unsigned {
-        unsigned v = Probe::find(row, n, tagInvalid);
-        if (v >= n) {
-            // Branchless min-scan: the lastUse ordering is as random
-            // as the reference stream, so a compare-and-branch here
-            // mispredicts constantly; conditional moves keep the
-            // (miss-path-dominant) victim choice off the predictor.
-            const std::uint64_t *const lu = row + n;
-            std::uint64_t best = lu[0];
-            v = 0;
-            for (unsigned w = 1; w < n; ++w) {
-                const bool lt = lu[w] < best;
-                best = lt ? lu[w] : best;
-                v = lt ? w : v;
-            }
-            st.evictions++;
-            if (row[2 * n + v]) {
-                const Bytes wb =
-                    Masked ? static_cast<Bytes>(std::popcount(
-                                 row[2 * n + v])) *
-                                 wordBytes
-                           : blockBytes;
-                st.writebacks++;
-                st.writebackBytes += wb;
-            }
-        }
-        row[v] = bn;
-        touch(row, v);
-        row[2 * n + v] = 0;
-        if constexpr (Masked)
-            row[3 * n + v] = 0;
-        return v;
     };
 
     for (std::size_t i = begin; i < end; ++i) {
@@ -477,146 +361,116 @@ runChunkBody(ConfigSim &c, Source src, std::size_t begin,
         if (Filtered && set - setLo >= setSpan)
             continue;
         std::uint64_t *const row =
-            line + static_cast<std::size_t>(
+            rows + static_cast<std::size_t>(
                        Filtered ? set - setLo : set) *
                        stride;
-        const unsigned w = Probe::find(row, n, bn);
-        const bool hit = w < n;
+        const bool store = src.store(i);
+        if constexpr (Source::validating)
+            stores += store;
         if constexpr (!Masked) {
-            if (!src.store(i)) {
-                if (hit) {
-                    hits++;
-                    touch(row, w);
-                } else {
+            // Most references hit the MRU way: one compare, and for a
+            // load no row write.
+            if ((row[0] >> 1) != bn) {
+                unsigned w = 1;
+                while (w < n && (row[w] >> 1) != bn)
+                    ++w;
+                if (w == n) {
                     misses++;
-                    allocate(bn, row);
-                }
-                continue;
-            }
-            if constexpr (Source::validating)
-                stores++;
-            if (hit) {
-                hits++;
-                touch(row, w);
-                if (writeBack)
-                    row[2 * n + w] |= src.mask(i, blockMask);
-                else
-                    st.writeThroughBytes += src.bytes(i);
-                continue;
-            }
-            misses++;
-            storeMisses++;
-            if (writeAllocate) {
-                const unsigned v = allocate(bn, row);
-                if (writeBack)
-                    row[2 * n + v] = src.mask(i, blockMask);
-                else
-                    st.writeThroughBytes += src.bytes(i);
-            } else { // WriteNoAllocate
-                st.writeThroughBytes += src.bytes(i);
-            }
-        } else {
-            const std::uint64_t words = src.mask(i, blockMask);
-            if (!src.store(i)) {
-                if (hit) {
-                    const std::uint64_t missing =
-                        words & ~row[3 * n + w];
-                    if (missing) {
-                        const Bytes bytes =
-                            static_cast<Bytes>(
-                                std::popcount(missing)) *
-                            wordBytes;
-                        st.partialFills++;
-                        st.partialFillBytes += bytes;
-                        row[3 * n + w] |= missing;
+                    if (store) {
+                        storeMisses++;
+                        if (!writeBack || !writeAllocate)
+                            writeThroughBytes += src.bytes(i);
+                        if (!writeAllocate)
+                            continue;
                     }
-                    hits++;
-                    touch(row, w);
-                } else {
-                    misses++;
-                    const unsigned v = allocate(bn, row);
-                    row[3 * n + v] = c.fullMask;
+                    evictTail(row);
+                    rotateToFront(row, n - 1);
+                    row[0] = (bn << 1) |
+                             static_cast<std::uint64_t>(store && writeBack);
+                    continue;
                 }
-                continue;
+                rotateToFront(row, w);
             }
-            if constexpr (Source::validating)
-                stores++;
-            if (hit) {
-                hits++;
-                touch(row, w);
-                row[3 * n + w] |= words;
-                row[2 * n + w] |= words;
-                continue;
+            hits++;
+            if (store) {
+                if (writeBack)
+                    row[0] |= 1;
+                else
+                    writeThroughBytes += src.bytes(i);
             }
-            misses++;
-            storeMisses++;
-            // Write-validate: allocate without fetching; the written
-            // words become valid and dirty.
-            const unsigned v = allocate(bn, row);
-            row[3 * n + v] = words;
-            row[2 * n + v] = words;
+            continue;
         }
+
+        // Masked: a hit moves its way's three planes to the front; a
+        // miss moves the tail way there and replaces it.
+        unsigned w = 0;
+        while (w < n && (row[w] >> 1) != bn)
+            ++w;
+        const bool hit = w < n;
+        const std::uint64_t words = src.mask(i, blockMask);
+        std::uint64_t dirty = 0;
+        std::uint64_t valid = 0;
+        if (hit) {
+            hits++;
+            dirty = row[n + w];
+            valid = row[2 * n + w];
+        } else {
+            misses++;
+            evictTail(row);
+            w = n - 1;
+            // A load miss fetches the whole block; a store miss
+            // allocates without fetching (write-validate).
+            valid = store ? 0 : c.fullMask;
+        }
+        if (store) {
+            // The written words become valid and dirty.
+            storeMisses += !hit;
+            valid |= words;
+            dirty |= words;
+        } else if (const std::uint64_t missing = words & ~valid) {
+            st.partialFills++;
+            st.partialFillBytes +=
+                static_cast<Bytes>(std::popcount(missing)) * wordBytes;
+            valid |= missing;
+        }
+        for (unsigned p = 0; p < 3; ++p)
+            rotateToFront(row + p * n, w);
+        row[0] = bn << 1;
+        row[n] = dirty;
+        row[2 * n] = valid;
     }
     fold();
     return true;
 }
 
-template <class Probe, unsigned W, bool Masked, bool Filtered>
+template <unsigned W, bool Masked, bool Filtered>
 void
 runChunk(ConfigSim &c, const BlockStream &s, std::size_t begin,
          std::size_t end)
 {
-    runChunkBody<Probe, W, Masked, Filtered>(c, StreamSource(s),
-                                             begin, end);
+    runChunkBody<W, Masked, Filtered>(c, StreamSource(s), begin, end);
 }
 
-template <class Probe, unsigned W, bool Masked, bool Filtered>
+template <unsigned W, bool Masked, bool Filtered>
 bool
 runWordChunk(ConfigSim &c, const MemRef *refs, std::size_t begin,
              std::size_t end)
 {
-    return runChunkBody<Probe, W, Masked, Filtered>(c, WordSource(refs),
-                                                    begin, end);
+    return runChunkBody<W, Masked, Filtered>(c, WordSource(refs),
+                                             begin, end);
 }
-
-#if MEMBW_SIMD_X86
-/** target("avx2") clones of runChunk/runWordChunk so Avx2Probe::find
- * inlines into the chunk loop; selected only after simdTier() has
- * confirmed AVX2. */
-template <unsigned W, bool Masked, bool Filtered>
-__attribute__((target("avx2"))) void
-runChunkAvx2(ConfigSim &c, const BlockStream &s, std::size_t begin,
-             std::size_t end)
-{
-    runChunkBody<Avx2Probe, W, Masked, Filtered>(c, StreamSource(s),
-                                                 begin, end);
-}
-
-template <unsigned W, bool Masked, bool Filtered>
-__attribute__((target("avx2"))) bool
-runWordChunkAvx2(ConfigSim &c, const MemRef *refs, std::size_t begin,
-                 std::size_t end)
-{
-    return runChunkBody<Avx2Probe, W, Masked, Filtered>(
-        c, WordSource(refs), begin, end);
-}
-#endif
 
 /**
- * The monomorphized kernel for one configuration point, with @p tier
- * clamped to the host's capability.  Way counts without a baked
- * specialization (3, 5, 6, 7, 9..16) get the runtime-way variant of
- * the widest applicable probe; 1-way configs always run scalar
- * (nothing to lane-parallelize) and 2-way configs cap at SSE2 (one
- * 128-bit compare covers the whole set).
+ * The monomorphized kernel for one configuration point.  Way counts
+ * without a baked specialization (3, 5, 6, 7, 9..16) get the
+ * runtime-way variant.
  */
-ChunkKernel selectKernel(unsigned ways, SimdTier tier, bool masked,
-                         bool filtered);
+ChunkKernel selectKernel(unsigned ways, bool masked, bool filtered);
 
 /** selectKernel's fused-decode twin: the same dispatch table over
  * runWordChunk instantiations (see WordSource for the validity
  * precondition). */
-WordKernel selectWordKernel(unsigned ways, SimdTier tier, bool masked,
+WordKernel selectWordKernel(unsigned ways, bool masked,
                             bool filtered);
 
 /** Sum every additive counter of @p from into @p into.  The

@@ -7,16 +7,18 @@
  * sweep behind Tables 7/8 and Figure 4.  Instead of re-walking the
  * trace once per configuration through the general simulator,
  * ladderSweep() walks a pre-decoded BlockStream once, replaying each
- * L2-resident chunk against every configuration's flat tag/LRU/dirty
- * arrays.  The decode cost (block number, word mask, load/store
+ * L2-resident chunk against every configuration's move-to-front set
+ * rows (ways kept MRU first, a plain way packed into one word; see
+ * ladder_kernel.hh).  The decode cost (block number, word mask, load/store
  * split) is paid once per block size instead of once per cell, the
  * per-reference dispatch (virtual hooks, std::function, hash-map
  * probes) disappears entirely, and the chunk's decode arrays stay
  * cache-resident while the k configurations consume them.
  *
  * The kernel replicates Cache::access()/flush() counter for counter
- * — same LRU sequence numbers, same victim scan order, same
- * write-policy byte accounting — so its TrafficResults are
+ * — the same LRU victim (the tail of the recency order is the block
+ * with the lowest LRU stamp), the same fill-a-free-way-first rule,
+ * the same write-policy byte accounting — so its TrafficResults are
  * byte-identical to the direct simulator's (tests/ladder_test.cc and
  * the onepass_equivalence ctest assert this).  Everything outside
  * the exact regime — Random/FIFO replacement, sectoring, stream
@@ -32,7 +34,6 @@
 
 #include "cache/config.hh"
 #include "cache/hierarchy.hh"
-#include "exec/simd.hh"
 #include "trace/block_stream.hh"
 
 namespace membw {
@@ -61,20 +62,10 @@ bool ladderCollapsible(const BlockStream &stream,
 /**
  * Traffic results for each config, in order, from a single chunked
  * pass over @p stream.  Precondition: ladderCollapsible().
- *
- * Runs the widest SIMD probe tier the host supports (simdTier());
- * the overload taking an explicit @p tier clamps it to the host
- * capability and exists for the tier-equivalence tests and for
- * MEMBW_SIMD=... A/B runs — every tier produces byte-identical
- * results.
  */
 std::vector<TrafficResult>
 ladderSweep(const BlockStream &stream,
             const std::vector<CacheConfig> &configs);
-
-std::vector<TrafficResult>
-ladderSweep(const BlockStream &stream,
-            const std::vector<CacheConfig> &configs, SimdTier tier);
 
 } // namespace membw
 

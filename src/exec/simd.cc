@@ -56,10 +56,4 @@ simdTier()
     return tier;
 }
 
-SimdTier
-clampSimdTier(SimdTier requested)
-{
-    return std::min(requested, simdTier());
-}
-
 } // namespace membw

@@ -1,28 +1,13 @@
 /**
  * @file
- * Runtime-dispatched SIMD tag probes for the ladder sweep kernels.
- *
- * The hot operation of the one-pass ladder kernel is an associative
- * probe: compare up to `ways` 64-bit tags of one set against a block
- * number and report the first match.  The probes here evaluate those
- * compares lane-parallel — four tags per AVX2 compare (so an 8-way
- * set is two vector compares), two per SSE2 compare — and reduce the
- * compare mask with a count-trailing-zeros, which yields the *lowest*
- * matching way.  That matters for exactness: the scalar kernel's
- * linear scan also takes the lowest match (real tags are unique
- * within a set, but the invalid-tag scan that victim selection runs
- * must pick the first free way), so every probe returns bit-identical
- * way indices and the SIMD kernels stay counter-identical to the
- * scalar one.
+ * Host SIMD tier detection, reported in build info and manifests.
  *
  * Tier selection is a runtime decision (one cpuid-backed check,
- * cached): binaries built with MEMBW_SIMD carry every tier and pick
- * the widest one the host supports, clamped down by the MEMBW_SIMD
- * environment variable (scalar|sse2|avx2) for A/B testing.  Builds
- * with -DMEMBW_SIMD=OFF, or on non-x86 targets, compile the scalar
- * probe only and simdTier() always reports Scalar.
- *
- * docs/performance.md#simd-dispatch-tiers documents the tier table.
+ * cached): binaries built with MEMBW_SIMD report the widest tier the
+ * host supports, clamped down by the MEMBW_SIMD environment variable
+ * (scalar|sse2|avx2).  Builds with -DMEMBW_SIMD=OFF, or on non-x86
+ * targets, always report Scalar.  No kernel dispatches on the tier:
+ * the ladder kernel is scalar (see ladder_kernel.hh).
  */
 
 #ifndef MEMBW_EXEC_SIMD_HH
@@ -34,19 +19,18 @@
     (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
 #define MEMBW_SIMD_X86 1
-#include <immintrin.h>
 #else
 #define MEMBW_SIMD_X86 0
 #endif
 
 namespace membw {
 
-/** Widest vector tier a kernel may use, in ascending order. */
+/** Widest vector extension the host offers, in ascending order. */
 enum class SimdTier : std::uint8_t
 {
-    Scalar = 0, ///< portable linear scan
-    Sse2 = 1,   ///< 2 tags per 128-bit compare (x86-64 baseline)
-    Avx2 = 2,   ///< 4 tags per 256-bit compare
+    Scalar = 0, ///< no vector extension detected
+    Sse2 = 1,   ///< 128-bit (x86-64 baseline)
+    Avx2 = 2,   ///< 256-bit
 };
 
 /** Stable lowercase name for reports and logs. */
@@ -58,86 +42,6 @@ const char *simdTierName(SimdTier tier);
  * scalar, sse2, or avx2.  Scalar-only builds always return Scalar.
  */
 SimdTier simdTier();
-
-/** min(requested, simdTier()) — kernels never run above the host. */
-SimdTier clampSimdTier(SimdTier requested);
-
-/**
- * Probe functors.  find(tags, n, key) returns the lowest w < n with
- * tags[w] == key, or n when absent.  All three are exact-equivalent;
- * they differ only in how many compares retire per step.
- */
-struct ScalarProbe
-{
-    static inline unsigned
-    find(const std::uint64_t *tags, unsigned n, std::uint64_t key)
-    {
-        for (unsigned w = 0; w < n; ++w)
-            if (tags[w] == key)
-                return w;
-        return n;
-    }
-};
-
-#if MEMBW_SIMD_X86
-
-struct Sse2Probe
-{
-    /**
-     * SSE2 has no 64-bit compare, so equality is two 32-bit halves
-     * ANDed after a lane swap — still one movemask per two tags.
-     * Odd trailing ways fall back to the scalar scan.
-     */
-    static inline unsigned
-    find(const std::uint64_t *tags, unsigned n, std::uint64_t key)
-    {
-        const __m128i k =
-            _mm_set1_epi64x(static_cast<long long>(key));
-        unsigned w = 0;
-        for (; w + 2 <= n; w += 2) {
-            const __m128i v = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(tags + w));
-            const __m128i eq = _mm_cmpeq_epi32(v, k);
-            const __m128i swapped =
-                _mm_shuffle_epi32(eq, _MM_SHUFFLE(2, 3, 0, 1));
-            const int m = _mm_movemask_pd(_mm_castsi128_pd(
-                _mm_and_si128(eq, swapped)));
-            if (m)
-                return w + static_cast<unsigned>(
-                               __builtin_ctz(static_cast<unsigned>(m)));
-        }
-        for (; w < n; ++w)
-            if (tags[w] == key)
-                return w;
-        return n;
-    }
-};
-
-struct Avx2Probe
-{
-    __attribute__((target("avx2"))) static inline unsigned
-    find(const std::uint64_t *tags, unsigned n, std::uint64_t key)
-    {
-        const __m256i k =
-            _mm256_set1_epi64x(static_cast<long long>(key));
-        unsigned w = 0;
-        for (; w + 4 <= n; w += 4) {
-            const __m256i v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(tags + w));
-            const int m = _mm256_movemask_pd(_mm256_castsi256_pd(
-                _mm256_cmpeq_epi64(v, k)));
-            if (m)
-                return w + static_cast<unsigned>(
-                               __builtin_ctz(static_cast<unsigned>(m)));
-        }
-        for (; w < n; ++w)
-            if (tags[w] == key)
-                return w;
-        return n;
-    }
-};
-
-#endif // MEMBW_SIMD_X86
 
 } // namespace membw
 

@@ -95,8 +95,8 @@ partitionedLadderSweep(const BlockStream &stream,
             const bool filtered =
                 cell.setSpan != cfg.sets();
             ladder::ConfigSim sim(cfg, cell.setLo, cell.setSpan);
-            sim.kernel = ladder::selectKernel(sim.ways, opts.tier,
-                                              sim.masked, filtered);
+            sim.kernel = ladder::selectKernel(sim.ways, sim.masked,
+                                              filtered);
             // One sim per cell: no per-chunk locality to exploit,
             // so replay the whole stream in one call.
             sim.kernel(sim, stream, 0, stream.refs);
@@ -174,7 +174,7 @@ partitionedLadderRunWord(const Trace &trace, const CacheConfig &cfg,
             const bool filtered = cell.setSpan != sets;
             ladder::ConfigSim sim(cfg, cell.setLo, cell.setSpan);
             const ladder::WordKernel kernel = ladder::selectWordKernel(
-                sim.ways, opts.tier, sim.masked, filtered);
+                sim.ways, sim.masked, filtered);
             WordCell out;
             out.ok = kernel(sim, trace.data(), 0, trace.size());
             if (out.ok)
@@ -234,7 +234,7 @@ timeSlicedLadderEstimate(const BlockStream &stream,
 
             ladder::ConfigSim sim(cfg);
             sim.kernel = ladder::selectKernel(
-                sim.ways, opts.tier, sim.masked, /*filtered=*/false);
+                sim.ways, sim.masked, /*filtered=*/false);
             // Reconstruct state from the warm-up window, then zero
             // the counters so only the owned slice is counted.
             sim.kernel(sim, stream, warmBegin, begin);

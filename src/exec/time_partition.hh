@@ -13,13 +13,12 @@
  * split across workers; each worker scans the whole reference stream
  * but simulates only its owned sets (the Filtered kernel variant in
  * ladder_kernel.hh), and the per-worker CacheStats are summed in
- * part order.  Each worker's private LRU sequence counter preserves
- * the per-set reference order — the only order LRU decisions depend
- * on — and integer sums are associative, so the merged result is
+ * part order.  Each worker replays its sets' references in trace
+ * order — the only order LRU decisions depend on — and integer sums are associative, so the merged result is
  * byte-identical to the serial kernel at ANY worker/partition count.
  * That is what lets the --no-partition escape hatch demand a byte
  * diff, not a tolerance.  The cost model: every worker still streams
- * the decode arrays (read bandwidth is shared), but tag/LRU state
+ * the decode arrays (read bandwidth is shared), but set-row state
  * per worker shrinks by the partition factor, and the skip test is
  * one subtract+compare per reference.
  *
@@ -50,7 +49,6 @@
 #include "cache/config.hh"
 #include "cache/hierarchy.hh"
 #include "exec/ladder_sweep.hh"
-#include "exec/simd.hh"
 #include "trace/block_stream.hh"
 
 namespace membw {
@@ -68,10 +66,6 @@ struct PartitionOptions
      * split and simply runs serial.
      */
     unsigned parts = 0;
-
-    /** Probe tier (clamped to host capability); defaults to the
-     * widest supported. */
-    SimdTier tier = simdTier();
 
     /** Polled between cells; true stops scheduling (interrupt). */
     std::function<bool()> cancel;

@@ -264,30 +264,37 @@ MinCacheSim::accessOne(const MemRef &ref, Tick nu)
             // 31 runners-up in descending address order, looking for
             // a clean block whose eviction saves a write-back
             // without adding any future miss.  Candidates not
-            // chosen are pushed back.
-            std::pair<Addr, std::uint32_t> cand[32];
+            // chosen are pushed back.  The array is left
+            // uninitialised: only its popped prefix is ever read.
+            struct Cand
+            {
+                Addr addr;
+                std::uint32_t slot;
+            };
+            Cand cand[32];
             std::size_t popped = 0;
             std::size_t chosen = 0;
             const std::size_t limit = config_.writeAware ? 32 : 1;
             while (popped < limit && !infHeap_.empty()) {
                 std::pop_heap(infHeap_.begin(), infHeap_.end());
-                cand[popped] = infHeap_.back();
+                cand[popped] = {infHeap_.back().first,
+                                infHeap_.back().second};
                 infHeap_.pop_back();
                 const bool clean =
-                    slots_[cand[popped].second].dirtyMask == 0;
+                    slots_[cand[popped].slot].dirtyMask == 0;
                 popped++;
                 if (clean) {
                     chosen = popped - 1;
                     break;
                 }
             }
-            victim = cand[chosen].second;
+            victim = cand[chosen].slot;
             victimScanPops_ += popped;
             MEMBW_PROBE(probe_, onMtcScan(popped));
             for (std::size_t k = 0; k < popped; ++k) {
                 if (k == chosen)
                     continue;
-                infHeap_.push_back(cand[k]);
+                infHeap_.emplace_back(cand[k].addr, cand[k].slot);
                 std::push_heap(infHeap_.begin(), infHeap_.end());
             }
         } else {

@@ -16,7 +16,6 @@
 #include "common/rng.hh"
 #include "exec/collapsed_sweep.hh"
 #include "exec/ladder_sweep.hh"
-#include "exec/simd.hh"
 #include "exec/time_partition.hh"
 #include "trace/block_stream.hh"
 #include "trace/trace.hh"
@@ -199,7 +198,7 @@ TEST(LadderSweep, MatchesDirectAcrossBlockSizesAndSeeds)
 }
 
 // ---------------------------------------------------------------
-// SIMD tier equivalence
+// Policy grid: every route against the direct simulator
 // ---------------------------------------------------------------
 
 /** The full supported policy grid at one block size (the same grid
@@ -233,31 +232,51 @@ policyGrid(Bytes blockBytes)
     return cfgs;
 }
 
-TEST(LadderSweep, SimdTiersMatchScalarAcrossPolicyGrid)
+TEST(LadderSweep, EveryRouteMatchesDirectAcrossPolicyGrid)
 {
-    // Every probe tier the host supports must reproduce the scalar
-    // kernel bit for bit across the policy grid, including the
-    // masked write-validate variant and the odd (3-way) geometry
-    // that exercises the probes' scalar tails.  On hosts without
-    // SSE2/AVX2 the clamp collapses the comparison to
-    // scalar-vs-scalar, which keeps the test meaningful under
-    // -DMEMBW_SIMD=OFF.
-    const Trace trace = randomTrace(29, 20000);
-    const std::vector<CacheConfig> cfgs = policyGrid(32);
-    const BlockStream stream = buildBlockStream(trace, 32);
-    ASSERT_TRUE(ladderCollapsible(stream, cfgs));
+    // Every way count the kernel dispatches on (1/2/4/8 baked in,
+    // 3 and 16 at run time) crossed with every supported write/alloc
+    // pairing, at the smallest, a middle and the widest block size.
+    // The trace is short enough that the bigger caches end with sets
+    // only partly filled, so the invalid tails of the move-to-front
+    // rows and the flush of partial sets are exercised; the small
+    // caches evict on nearly every miss.  Each config goes through
+    // the serial sweep, the set-partitioned sweep (filtered
+    // kernels), and the fused-word run unsplit and split.
+    const Trace trace = randomTrace(29, 3000);
+    for (Bytes block : {4u, 32u, 128u}) {
+        const std::vector<CacheConfig> cfgs = policyGrid(block);
+        const BlockStream stream = buildBlockStream(trace, block);
+        ASSERT_TRUE(ladderCollapsible(stream, cfgs));
 
-    const auto scalar =
-        ladderSweep(stream, cfgs, SimdTier::Scalar);
-    for (SimdTier tier : {SimdTier::Sse2, SimdTier::Avx2}) {
-        const auto vec = ladderSweep(stream, cfgs, tier);
-        ASSERT_EQ(vec.size(), scalar.size());
+        const auto serial = ladderSweep(stream, cfgs);
+        PartitionOptions split;
+        split.parts = 3;
+        const auto part = partitionedLadderSweep(stream, cfgs, split);
+        ASSERT_TRUE(part.has_value());
+        ASSERT_EQ(serial.size(), cfgs.size());
+        ASSERT_EQ(part->size(), cfgs.size());
+
         for (std::size_t i = 0; i < cfgs.size(); ++i) {
-            const std::string label =
-                std::string(simdTierName(tier)) + " " +
-                cfgs[i].describe();
-            EXPECT_EQ(vec[i].pinBytes, scalar[i].pinBytes) << label;
-            expectStatsEqual(vec[i].l1, scalar[i].l1, label);
+            const TrafficResult direct = runTrace(trace, cfgs[i]);
+            const std::string label = cfgs[i].describe();
+            EXPECT_EQ(serial[i].pinBytes, direct.pinBytes) << label;
+            expectStatsEqual(serial[i].l1, direct.l1,
+                             "serial " + label);
+            expectStatsEqual((*part)[i].l1, direct.l1,
+                             "partitioned " + label);
+            for (unsigned parts : {1u, 3u}) {
+                PartitionOptions opts;
+                opts.parts = parts;
+                TrafficResult word;
+                ASSERT_EQ(partitionedLadderRunWord(trace, cfgs[i], opts,
+                                                   word),
+                          WordRunOutcome::Done)
+                    << label;
+                expectStatsEqual(word.l1, direct.l1,
+                                 "word parts=" + std::to_string(parts) +
+                                     " " + label);
+            }
         }
     }
 }

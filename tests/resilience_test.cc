@@ -16,6 +16,8 @@
 
 #include <filesystem>
 
+#include <stdlib.h>
+
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
 #include "cpu/core.hh"
@@ -608,14 +610,19 @@ TEST(FaultPlan, DisarmedPlanInjectsNothing)
 
 namespace fs2 = std::filesystem;
 
+/** A private mkdtemp directory per test, so the GuardedFile cases
+ * can run as concurrent processes (ctest -j) without sharing paths. */
 struct TmpDir
 {
     fs2::path dir;
     TmpDir()
     {
-        dir = fs2::temp_directory_path() / "membw_guarded_test";
-        fs2::remove_all(dir);
-        fs2::create_directories(dir);
+        std::string tmpl =
+            (fs2::temp_directory_path() / "membw_guarded_test.XXXXXX")
+                .string();
+        if (!::mkdtemp(tmpl.data()))
+            ADD_FAILURE() << "mkdtemp failed for " << tmpl;
+        dir = tmpl;
     }
     ~TmpDir() { fs2::remove_all(dir); }
     std::string operator/(const char *name) const
