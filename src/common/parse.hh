@@ -65,6 +65,29 @@ Result<unsigned> tryParseJobs(const std::string &text);
  */
 Result<std::vector<Bytes>> tryParseSizeList(const std::string &text);
 
+/** fatal() for a malformed flag value: names the flag, echoes the
+ * value, and shows a working example. */
+[[noreturn]] inline void
+badFlag(const std::string &flag, const std::string &value,
+        const Error &error, const std::string &example)
+{
+    fatal("invalid value '" + value + "' for " + flag + ": " +
+          error.message + " (example: " + flag + " " + example + ")");
+}
+
+/** The tools' flag-value parser: @p parse(value)'s value (a
+ * tryParse* above), or badFlag(). */
+template <class Parse>
+auto
+flagValue(Parse &&parse, const std::string &flag, const std::string &value,
+          const char *example)
+{
+    auto r = parse(value);
+    if (!r.ok())
+        badFlag(flag, value, r.error(), example);
+    return std::move(r.value());
+}
+
 } // namespace membw
 
 #endif // MEMBW_COMMON_PARSE_HH

@@ -9,6 +9,7 @@
 #include "obs/registry.hh"
 #include "obs/trace_span.hh"
 #include "resilience/watchdog.hh"
+#include "serve/request_fields.hh"
 
 namespace membw {
 
@@ -16,18 +17,18 @@ void
 applyDecomposeOverrides(ExperimentConfig &cfg,
                         const DecomposeOverrides &ov)
 {
-    if (ov.mshrs > 0)
-        cfg.mem.mshrs = static_cast<unsigned>(ov.mshrs);
-    if (ov.window > 0)
-        cfg.core.windowSlots = static_cast<unsigned>(ov.window);
-    if (ov.width > 0)
-        cfg.core.issueWidth = static_cast<unsigned>(ov.width);
+    if (ov.mshrs)
+        cfg.mem.mshrs = ov.mshrs;
+    if (ov.window)
+        cfg.core.windowSlots = ov.window;
+    if (ov.width)
+        cfg.core.issueWidth = ov.width;
     if (ov.noPrefetch)
         cfg.mem.taggedPrefetch = false;
-    if (ov.l1l2 > 0)
-        cfg.mem.l1l2BusBytes = static_cast<Bytes>(ov.l1l2);
-    if (ov.membus > 0)
-        cfg.mem.memBusBytes = static_cast<Bytes>(ov.membus);
+    if (ov.l1l2)
+        cfg.mem.l1l2BusBytes = ov.l1l2;
+    if (ov.membus)
+        cfg.mem.memBusBytes = ov.membus;
     if (!ov.dram.empty()) {
         const DramKind kind =
             ov.dram == "fpm"     ? DramKind::FastPageMode
@@ -67,19 +68,8 @@ buildDecomposeStream(const std::string &workload, double scale,
 std::string
 decomposeRequestKey(const DecomposeRequest &req)
 {
-    std::string key = "decompose|";
-    key += req.workload;
-    key += '|';
-    key += decomposeConfig(req).describe();
-    key += '|';
-    key += std::string(1, req.letter);
-    key += req.spec95 ? "|spec95|" : "|spec92|";
-    key += formatJsonNumber(req.scale);
-    key += '|';
-    key += std::to_string(req.seed);
-    key += req.stableJson ? "|stable|" : "|full|";
-    key += std::to_string(req.watchdogCycles);
-    return key;
+    return "{\"op\":\"decompose\"," +
+           canonicalFields(req, decomposeFields()) + "}";
 }
 
 DecompositionResult

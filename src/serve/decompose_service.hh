@@ -23,11 +23,12 @@
 
 namespace membw {
 
-/** Machine-parameter overrides (the tool's --mshrs/--window/... ). */
+/** Machine-parameter overrides (the tool's --mshrs/--window/... );
+ * 0 and "" keep the experiment's own value. */
 struct DecomposeOverrides
 {
-    int mshrs = -1, window = -1, width = -1;
-    int l1l2 = -1, membus = -1;
+    unsigned mshrs = 0, window = 0, width = 0;
+    unsigned l1l2 = 0, membus = 0;
     bool noPrefetch = false;
     std::string dram; ///< "", fpm, edo, sdram, rdram
 };
@@ -36,7 +37,7 @@ struct DecomposeOverrides
 void applyDecomposeOverrides(ExperimentConfig &cfg,
                              const DecomposeOverrides &ov);
 
-/** Everything that identifies a decompose computation. */
+/** A decompose computation: each member a decomposeFields() row. */
 struct DecomposeRequest
 {
     std::string workload;
@@ -57,8 +58,7 @@ ExperimentConfig decomposeConfig(const DecomposeRequest &req);
 InstrStream buildDecomposeStream(const std::string &workload,
                                  double scale, std::uint64_t seed);
 
-/** Canonical identity string for the result cache (see
- * sweepRequestKey). */
+/** Result-cache identity: every decomposeFields() row, canonical. */
 std::string decomposeRequestKey(const DecomposeRequest &req);
 
 /**

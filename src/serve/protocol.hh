@@ -26,16 +26,9 @@
  * equality test.  "exit" carries the exit-code-contract value the
  * CLI run would have returned (0 ok, 5 degraded).
  *
- * Full sweep-request schema (defaults match the membw_sim flags):
- *   workload (required), scale, seed, sizes (required, "1K,64K"),
- *   blocks ("32,64"), mtc, stable, no_collapse, no_partition,
- *   watchdog, size, assoc, block, sector, repl ("lru|fifo|random"),
- *   write ("wb|wt"), alloc ("wa|wna|wv"), prefetch, stream_buffers,
- *   stream_depth.
- * Full decompose-request schema:
- *   workload (required), experiment ("A".."F"), spec95, scale, seed,
- *   stable, watchdog, mshrs, window, issue_width, no_prefetch,
- *   l1l2_bus, mem_bus, dram.
+ * The sweep and decompose fields, with types, ranges and defaults,
+ * are the rows of sweepFields()/decomposeFields() in
+ * serve/request_fields.hh, the tables the CLI tools parse flags with.
  */
 
 #ifndef MEMBW_SERVE_PROTOCOL_HH

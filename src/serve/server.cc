@@ -264,18 +264,9 @@ ServeServer::handleRequest(const std::string &line)
         break;
     }
 
-    // Keying can itself reject a request (serveRequestKey canonicalises
-    // through the experiment config, which fatal()s on bad overrides);
-    // that must become an error envelope, not an escaped exception that
-    // terminates the connection thread.
-    std::string key;
-    std::uint64_t digest = 0;
-    try {
-        key = serveRequestKey(req);
-        digest = fnv1a64(key);
-    } catch (const FatalError &e) {
-        return errorEnvelope(req.op, e.what());
-    }
+    // Keying cannot fail: parseServeRequest validated every field.
+    const std::string key = serveRequestKey(req);
+    const std::uint64_t digest = fnv1a64(key);
     if (auto hit = results_.get(digest, key))
         return okEnvelope(req.op, true, hit->exitCode, hit->body);
 

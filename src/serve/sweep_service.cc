@@ -12,6 +12,7 @@
 #include "obs/trace_span.hh"
 #include "resilience/exit_codes.hh"
 #include "resilience/fault_injection.hh"
+#include "serve/request_fields.hh"
 
 namespace membw {
 
@@ -35,37 +36,14 @@ sweepConfigFor(const SweepRequest &req, const std::vector<Bytes> &blocks,
 std::string
 sweepRequestKey(const SweepRequest &req)
 {
-    // Every field that changes the stable response bytes, joined with
-    // an unambiguous separator.  scale goes through the JSON number
-    // formatter so 0.05 and 0.050 collide (they render identically).
-    std::string key = "sweep|";
-    key += req.workload;
-    key += '|';
-    key += req.label.empty() ? req.workload : req.label;
-    key += '|';
-    key += formatJsonNumber(req.scale);
-    key += '|';
-    key += std::to_string(req.seed);
-    key += '|';
-    key += req.l1.describe();
-    key += '|';
-    for (Bytes b : req.sizes) {
-        key += formatSize(b);
-        key += ',';
-    }
-    key += '|';
-    for (Bytes b : resolveSweepBlocks(req)) {
-        key += formatSize(b);
-        key += ',';
-    }
-    key += '|';
-    key += req.runMtc ? "mtc" : "-";
-    key += req.stableJson ? "|stable" : "|full";
-    key += req.noCollapse ? "|nocollapse" : "|collapse";
-    key += req.noPartition ? "|nopartition" : "|partition";
-    key += '|';
-    key += std::to_string(req.eventBudget);
-    return key;
+    // Dependent defaults resolve first: an empty label keys as the
+    // workload, empty blocks as the single --block.
+    SweepRequest resolved = req;
+    if (resolved.label.empty())
+        resolved.label = resolved.workload;
+    resolved.blocks = resolveSweepBlocks(req);
+    return "{\"op\":\"sweep\"," +
+           canonicalFields(resolved, sweepFields()) + "}";
 }
 
 namespace {

@@ -45,8 +45,8 @@ namespace membw {
 struct MappedTrace;
 class ThreadPool;
 
-/** Everything that identifies a sweep computation (the result-cache
- * key hashes exactly these fields). */
+/** Everything that identifies a sweep computation.  Every member but
+ * traceFormat is a row of sweepFields() (request_fields.hh). */
 struct SweepRequest
 {
     std::string workload;   ///< generator name (daemon trace source)
@@ -80,10 +80,10 @@ CacheConfig sweepConfigFor(const SweepRequest &req,
                            std::size_t cell);
 
 /**
- * Canonical identity string for the result cache, built from every
- * request field that changes the (stable) response bytes.  Digest it
- * with fnv1a64() — the same hash the run manifests use for config
- * digests.
+ * Canonical identity string for the result cache: the canonical value
+ * of every sweepFields() row (request_fields.hh), label and blocks
+ * resolved to their defaults.  Digest it with fnv1a64() — the same
+ * hash the run manifests use for config digests.
  */
 std::string sweepRequestKey(const SweepRequest &req);
 

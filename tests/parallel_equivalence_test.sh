@@ -3,8 +3,8 @@
 # sweep-mode output (stdout, --stats-json with --stable-json) must be
 # byte-identical at --jobs 1 and --jobs 4 — including a run truncated
 # by the deterministic --sigterm-after cell-count trigger.  Also
-# checks the --jobs input contract and, on hosts with enough
-# hardware threads, that parallel sweeps actually run faster.
+# checks the --jobs input contract and, on hosts whose measured
+# parallelism is at least 3, that parallel sweeps actually run faster.
 #
 # Usage: parallel_equivalence_test.sh <membw_sim> <membw_decompose> \
 #            <fig4_traffic_curves>
@@ -94,18 +94,42 @@ cmp -s f1.txt f4.txt ||
 cmp -s f1.json f4.json ||
     fail "fig4 JSON report differs between --jobs 1 and 4"
 
-# --- wall-clock speedup (only meaningful on multi-core hosts) ------
-CORES=$(nproc 2>/dev/null || echo 1)
-if [ "$CORES" -ge 4 ]; then
-    t_serial=$({ time -p "$SIM" "${SWEEP[@]}" --scale 0.5 --jobs 1 \
-        >/dev/null 2>&1; } 2>&1 | awk '/^real/ {print $2}')
-    t_par=$({ time -p "$SIM" "${SWEEP[@]}" --scale 0.5 --jobs 4 \
-        >/dev/null 2>&1; } 2>&1 | awk '/^real/ {print $2}')
+# --- wall-clock speedup (only on hosts that can run 4 at once) ----
+# nproc is not capacity: a container can show 4 vCPUs and give about
+# one core of throughput.  Measure it instead, as four concurrent
+# copies of the serial run against one copy alone.  Three rounds each
+# time one copy, four copies and the --jobs 4 run back to back, so
+# both ratios see the same host; the medians decide.
+SPEED=("${SWEEP[@]}" --scale 0.5)
+elapsed() { # command... -> wall seconds
+    local t0=$EPOCHREALTIME
+    "$@" >/dev/null 2>&1
+    awk -v a="$t0" -v b="$EPOCHREALTIME" 'BEGIN { printf "%.3f", b - a }'
+}
+four_copies() {
+    local k
+    for k in 1 2 3 4; do
+        "$SIM" "${SPEED[@]}" --jobs 1 >/dev/null 2>&1 &
+    done
+    wait
+}
+median() { printf '%s\n' "$@" | sort -g | sed -n 2p; }
+ONE=() FOUR=() PAR=()
+for round in 1 2 3; do
+    ONE+=("$(elapsed "$SIM" "${SPEED[@]}" --jobs 1)")
+    FOUR+=("$(elapsed four_copies)")
+    PAR+=("$(elapsed "$SIM" "${SPEED[@]}" --jobs 4)")
+done
+t_serial=$(median "${ONE[@]}")
+t_par=$(median "${PAR[@]}")
+CAP=$(awk -v one="$t_serial" -v four="$(median "${FOUR[@]}")" \
+    'BEGIN { printf "%.2f", 4 * one / four }')
+if awk -v c="$CAP" 'BEGIN { exit !(c >= 3) }'; then
     awk -v s="$t_serial" -v p="$t_par" \
         'BEGIN { exit !(p > 0 && s / p >= 1.5) }' ||
-        fail "sweep --jobs 4 not faster than --jobs 1 ($t_serial vs $t_par s) on a $CORES-core host"
+        fail "sweep --jobs 4 not faster than --jobs 1 ($t_serial vs $t_par s) at measured parallelism $CAP"
 else
-    echo "SKIP speedup check: only $CORES hardware thread(s)"
+    echo "SKIP speedup check: measured parallelism $CAP is below 3"
 fi
 
 echo "PASS"

@@ -61,6 +61,17 @@ cmp -s base.json resumed2.json ||
 grep -q "different cache configuration" err.txt ||
     fail "config-mismatch resume lacks a clear diagnostic"
 
+# Every L1 field is part of the identity, including the stream
+# buffers that the display string leaves out.
+expect_exit 3 "$SIM" "${SIMFLAGS[@]}" --stream-buffers 2 \
+    --stats-json sbint.json --checkpoint sbck.bin \
+    --checkpoint-every 4096 --sigterm-after 20000
+"$SIM" "${SIMFLAGS[@]}" --stream-buffers 4 --resume sbck.bin \
+    >/dev/null 2>err.txt
+[ $? -eq 1 ] || fail "stream-buffers-mismatch resume should exit 1"
+grep -q "different cache configuration" err.txt ||
+    fail "stream-buffers-mismatch resume lacks a clear diagnostic"
+
 # --- membw_sim: profiled interrupt/resume --------------------------
 # The profiler state rides the checkpoint: a resumed profiled run
 # must write byte-identical profile JSON (and stats) to an
@@ -114,6 +125,16 @@ expect_exit 0 "$DECOMP" "${DFLAGS[@]}" --stats-json dresumed.json \
     --resume dck.bin
 cmp -s dbase.json dresumed.json ||
     fail "membw_decompose resume is not byte-identical"
+
+# --- membw_decompose: checkpoint/config mismatch -------------------
+# Every override is part of the identity, including those the
+# machine's display string leaves out (--mshrs).
+expect_exit 3 "$DECOMP" "${DFLAGS[@]}" --mshrs 1 --stats-json dmint.json \
+    --checkpoint dmck.bin --sigterm-after $((REFS + REFS / 2))
+"$DECOMP" "${DFLAGS[@]}" --resume dmck.bin >/dev/null 2>derr.txt
+[ $? -eq 1 ] || fail "mshrs-mismatch decompose resume should exit 1"
+grep -q "different experiment/workload configuration" derr.txt ||
+    fail "mshrs-mismatch decompose resume lacks a clear diagnostic"
 
 # --- membw_decompose: profiled interrupt/resume --------------------
 # The interrupted phase re-runs whole on resume; abortRun rolls the

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "serve/artifact_cache.hh"
 #include "serve/broker.hh"
 #include "serve/protocol.hh"
+#include "serve/request_fields.hh"
 #include "serve/result_cache.hh"
 #include "serve/sweep_service.hh"
 
@@ -250,6 +252,7 @@ TEST(RequestBroker, CoalescesIdenticalInflightRequests)
 
     constexpr int kClients = 6;
     std::vector<std::thread> clients;
+    std::atomic<int> submitted{0};
     std::atomic<int> matched{0};
     for (int i = 0; i < kClients; ++i)
         clients.emplace_back([&] {
@@ -257,10 +260,16 @@ TEST(RequestBroker, CoalescesIdenticalInflightRequests)
                 ++computes;
                 return std::string("shared");
             });
+            ++submitted;
             EXPECT_FALSE(s.busy);
             if (!s.busy && RequestBroker::wait(s.job) == "shared")
                 ++matched;
         });
+    // Release the blocker only once every client has submitted: a
+    // shared job that finished before the last submit would make that
+    // client start a second execution.
+    while (submitted.load() < kClients)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     release = true;
     for (auto &t : clients)
         t.join();
@@ -322,6 +331,11 @@ TEST(ServeProtocol, ParsesSweepRequestAndKeysDeterministically)
         "\"sizes\":\"1K,4K\",\"workload\":\"Compress\"}");
     // Field order must not change the canonical key (cache identity).
     EXPECT_EQ(serveRequestKey(a), serveRequestKey(b));
+    // Nor the spelling of a value: the key holds the parsed value.
+    const ServeRequest c = parseServeRequest(
+        "{\"op\":\"sweep\",\"workload\":\"Compress\",\"mtc\":true,"
+        "\"sizes\":\"1024,4096\",\"stable\":true,\"size\":65536}");
+    EXPECT_EQ(serveRequestKey(a), serveRequestKey(c));
 }
 
 TEST(ServeProtocol, RejectsUnknownFieldsAndOps)
@@ -349,4 +363,122 @@ TEST(ServeProtocol, ValidatesDecomposeDramAtParseTime)
         "\"dram\":\"sdram\"}");
     EXPECT_EQ(ok.op, ServeOp::Decompose);
     EXPECT_EQ(ok.decompose.overrides.dram, "sdram");
+}
+
+namespace {
+
+/** JSON form of a field's example value, as a client would send it
+ * by hand. */
+template <class Req>
+std::string
+exampleJson(const RequestField<Req> &f)
+{
+    switch (f.spec.type) {
+      case FieldType::Flag: return "true";
+      case FieldType::Integer:
+      case FieldType::Real: return f.spec.example;
+      default: return jsonEscape(f.spec.example);
+    }
+}
+
+/**
+ * Walk @p fields: for each, a variant of the base request that differs
+ * only in that field (set to the row's example) must key differently
+ * from the base, and its tool-flag, client and wire forms must all
+ * parse to the same key.
+ */
+template <class Req>
+void
+checkEveryField(const char *op,
+                const std::vector<RequestField<Req>> &fields,
+                const std::map<std::string, std::string> &base,
+                Req ServeRequest::*member)
+{
+    auto line = [&](const char *wire, const std::string &json) {
+        std::map<std::string, std::string> members = base;
+        if (wire)
+            members[wire] = json;
+        std::string out = std::string("{\"op\":\"") + op + "\"";
+        for (const auto &[k, v] : members)
+            out += ",\"" + k + "\":" + v;
+        return out + "}";
+    };
+    const ServeRequest baseReq = parseServeRequest(line(nullptr, ""));
+    const std::string baseKey = serveRequestKey(baseReq);
+    for (const RequestField<Req> &f : fields) {
+        SCOPED_TRACE(f.wire);
+        const ServeRequest wire =
+            parseServeRequest(line(f.wire, exampleJson(f)));
+        EXPECT_NE(serveRequestKey(wire), baseKey)
+            << "the key ignores '" << f.wire << "'";
+
+        // membw_client: the flag's canonical wire rendering.
+        ASSERT_NE(f.client(), nullptr);
+        Req scratch;
+        ASSERT_EQ(parseRequestFlag(fields, scratch, f.client(),
+                                   [&] { return f.spec.example; }, true),
+                  &f);
+        const ServeRequest client =
+            parseServeRequest(line(f.wire, f.at.render(scratch, f.spec)));
+        EXPECT_EQ(serveRequestKey(client), serveRequestKey(wire));
+
+        // membw_sim / membw_decompose: the tool flag parser.
+        if (!f.flag)
+            continue;
+        ServeRequest tool = baseReq;
+        ASSERT_TRUE(parseRequestFlag(fields, tool.*member, f.flag,
+                                     [&] { return f.spec.example; }));
+        EXPECT_EQ(serveRequestKey(tool), serveRequestKey(wire));
+    }
+}
+
+} // namespace
+
+TEST(ServeProtocol, KeyCoversEveryFieldAndCliFormsMatchWire)
+{
+    checkEveryField("sweep", sweepFields(),
+                    {{"workload", "\"Compress\""}, {"sizes", "\"8K\""}},
+                    &ServeRequest::sweep);
+    checkEveryField("decompose", decomposeFields(),
+                    {{"workload", "\"Compress\""}},
+                    &ServeRequest::decompose);
+}
+
+TEST(ServeProtocol, RejectsOutOfRangeWireValues)
+{
+    // Out of each field's range; the wire once let them through a
+    // narrowing cast (4294967297 became assoc 1).
+    const std::string sweep =
+        "{\"op\":\"sweep\",\"workload\":\"Compress\",\"sizes\":\"8K\",";
+    const std::string decompose =
+        "{\"op\":\"decompose\",\"workload\":\"Compress\",";
+    for (const std::string &line :
+         {sweep + "\"assoc\":4294967297}", sweep + "\"seed\":1e30}",
+          sweep + "\"stream_buffers\":-1}", sweep + "\"assoc\":1.5}",
+          decompose + "\"window\":4294967297}",
+          decompose + "\"mshrs\":-5}", decompose + "\"mshrs\":0}",
+          decompose + "\"seed\":1e30}"}) {
+        SCOPED_TRACE(line);
+        EXPECT_THROW(parseServeRequest(line), FatalError);
+    }
+    // The largest accepted values still parse.
+    EXPECT_EQ(parseServeRequest(sweep + "\"assoc\":1048576}")
+                  .sweep.l1.assoc,
+              1048576u);
+}
+
+TEST(ServeProtocol, SharedClientFlagsAgreeAcrossOps)
+{
+    // membw_client reads a flag before it knows the op, so a flag both
+    // ops take must mean the same field of the same type in each.
+    for (const auto &s : sweepFields())
+        for (const auto &d : decomposeFields()) {
+            if (std::string(s.client()) != d.client())
+                continue;
+            SCOPED_TRACE(s.client());
+            EXPECT_STREQ(s.wire, d.wire);
+            EXPECT_EQ(s.spec.type, d.spec.type);
+            EXPECT_EQ(s.spec.min, d.spec.min);
+            EXPECT_EQ(s.spec.max, d.spec.max);
+        }
 }

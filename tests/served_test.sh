@@ -4,7 +4,8 @@
 #  1. Byte-identity: daemon responses for sweep and decompose requests
 #     must byte-match fresh membw_sim/membw_decompose --stats-json
 #     output — cold (computed) and warm (result-cache hit), at
-#     --jobs 1 and --jobs 4.
+#     --jobs 1 and --jobs 4 — and so must variants that differ from a
+#     cached request in one field (--mshrs, --stream-buffers).
 #  2. Stats counters: the warm repeat shows up as a result-cache hit.
 #  3. Shutdown: the `shutdown` op stops the daemon (exit 0, socket
 #     unlinked); SIGTERM mid-request drains and answers first
@@ -66,6 +67,16 @@ DEC_ARGS="--workload Swm --experiment F --scale 0.05 --stable-json"
 # shellcheck disable=SC2086
 "$DECOMPOSE" $DEC_ARGS --stats-json "$WORK/dec_fresh.json" \
     > /dev/null 2>&1 || fail "fresh membw_decompose failed"
+# Variants that differ from the base requests only in a field the
+# cache key once left out: a served answer must be computed afresh,
+# never the base's cached body.
+"$SIM" --workload Compress --scale 0.03 --sweep-sizes 1K,4K,64K \
+    --sweep-blocks 32 --assoc 4 --mtc --stable-json --stream-buffers 4 \
+    --stats-json "$WORK/sweep_sb_fresh.json" > /dev/null 2>&1 ||
+    fail "fresh membw_sim --stream-buffers 4 sweep failed"
+# shellcheck disable=SC2086
+"$DECOMPOSE" $DEC_ARGS --mshrs 1 --stats-json "$WORK/dec_mshrs_fresh.json" \
+    > /dev/null 2>&1 || fail "fresh membw_decompose --mshrs 1 failed"
 
 # --- 1+2. byte-identity cold/warm at --jobs 1 and --jobs 4 --------------
 for jobs in 1 4; do
@@ -95,6 +106,19 @@ for jobs in 1 4; do
         fail "warm repeat did not register as a result-cache hit"
     grep -q '"result_misses":2' "$WORK/stats.json" ||
         fail "unexpected result-cache miss count"
+
+    # shellcheck disable=SC2086
+    "$CLIENT" decompose --socket "$SOCK" $DEC_ARGS --mshrs 1 \
+        --out "$WORK/dec_mshrs.json" ||
+        fail "served decompose --mshrs 1 failed (--jobs $jobs)"
+    cmp -s "$WORK/dec_mshrs_fresh.json" "$WORK/dec_mshrs.json" ||
+        fail "served decompose --mshrs 1 diverged from fresh (--jobs $jobs)"
+    # shellcheck disable=SC2086
+    "$CLIENT" sweep --socket "$SOCK" $SWEEP_ARGS --stream-buffers 4 \
+        --out "$WORK/sweep_sb.json" ||
+        fail "served sweep --stream-buffers 4 failed (--jobs $jobs)"
+    cmp -s "$WORK/sweep_sb_fresh.json" "$WORK/sweep_sb.json" ||
+        fail "served sweep --stream-buffers 4 diverged from fresh (--jobs $jobs)"
     stop_daemon
 done
 

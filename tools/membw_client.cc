@@ -23,6 +23,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/log.hh"
 #include "common/parse.hh"
@@ -31,10 +32,33 @@
 #include "obs/json.hh"
 #include "resilience/exit_codes.hh"
 #include "serve/client.hh"
+#include "serve/request_fields.hh"
 
 using namespace membw;
 
 namespace {
+
+/** @p fields' client flags for the usage text, four to a line:
+ * "--workload NAME [--mtc] [--repl lru|fifo|random] ...". */
+template <class Req>
+std::string
+flagSummary(const std::vector<RequestField<Req>> &fields)
+{
+    // Metavariables by FieldType; a Choice lists its names instead.
+    static const char *const meta[] = {"",   " NAME",  " ",   " N",
+                                       " F", " BYTES", " LIST"};
+    std::string out;
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+        const RequestField<Req> &f = fields[i];
+        std::string item = std::string(f.client()) +
+                           meta[static_cast<int>(f.spec.type)];
+        for (const char *c : f.spec.choices)
+            item += c + std::string(c == f.spec.choices.back() ? "" : "|");
+        out += (i % 4 ? " " : "\n  ") +
+               (f.required ? item : "[" + item + "]");
+    }
+    return out + "\n";
+}
 
 void
 usage(const char *argv0)
@@ -49,29 +73,10 @@ usage(const char *argv0)
         "  --wait MS           wait up to MS for the daemon to answer\n"
         "  --version           print version and exit\n"
         "  --build-info        print build provenance and exit\n\n"
-        "Sweep options (mirror membw_sim):\n"
-        "  --workload NAME --sizes LIST [--blocks LIST] [--mtc]\n"
-        "  [--scale F] [--seed N] [--label NAME] [--stable-json]\n"
-        "  [--no-collapse] [--no-partition] [--watchdog N]\n"
-        "  [--size BYTES] [--assoc N] [--block BYTES] [--sector BYTES]\n"
-        "  [--repl lru|fifo|random] [--write wb|wt] [--alloc wa|wna|wv]\n"
-        "  [--prefetch] [--stream-buffers N] [--stream-depth N]\n\n"
-        "Decompose options (mirror membw_decompose):\n"
-        "  --workload NAME [--experiment A-F] [--spec95] [--scale F]\n"
-        "  [--seed N] [--stable-json] [--watchdog N] [--mshrs N]\n"
-        "  [--window N] [--issue-width N] [--no-prefetch]\n"
-        "  [--l1l2-bus N] [--mem-bus N] [--dram KIND]\n",
-        argv0);
-}
-
-/** Append a ,"key":value pair (value already JSON-rendered). */
-void
-jsonField(std::string &req, const char *key, const std::string &value)
-{
-    req += ",\"";
-    req += key;
-    req += "\":";
-    req += value;
+        "Sweep options (mirror membw_sim):%s\n"
+        "Decompose options (mirror membw_decompose):%s",
+        argv0, flagSummary(sweepFields()).c_str(),
+        flagSummary(decomposeFields()).c_str());
 }
 
 bool
@@ -95,17 +100,28 @@ main(int argc, char **argv)
     std::string outPath;
     std::string command;
     int waitMs = 0;
-    // Request fields accumulate as rendered JSON members.
-    std::string fields;
+    std::string fields; // wire members; the daemon rejects foreign ones
 
     auto need = [&](int &i) -> std::string {
         if (i + 1 >= argc)
             fatal(std::string(argv[i]) + " requires a value");
         return argv[++i];
     };
+    int i = 1;
+    auto next = [&] { return need(i); };
+    // A request flag of either op (one both take is the same field in
+    // each), checked by its field's validator, becomes a wire member.
+    auto wireField = [&](const auto &table, auto scratch,
+                         const std::string &flag) {
+        const auto *f = parseRequestFlag(table, scratch, flag, next, true);
+        if (f)
+            fields += "," + jsonEscape(f->wire) + ":" +
+                      f->at.render(scratch, f->spec);
+        return f != nullptr;
+    };
 
     try {
-        for (int i = 1; i < argc; ++i) {
+        for (; i < argc; ++i) {
             const std::string a = argv[i];
             if (a == "--help" || a == "-h") {
                 usage(argv[0]);
@@ -127,86 +143,8 @@ main(int argc, char **argv)
             } else if (a == "--wait") {
                 waitMs = static_cast<int>(
                     tryParseInt(need(i), 0, 3600000).orDie());
-            } else if (a == "--workload") {
-                jsonField(fields, "workload", jsonEscape(need(i)));
-            } else if (a == "--label") {
-                jsonField(fields, "label", jsonEscape(need(i)));
-            } else if (a == "--experiment") {
-                jsonField(fields, "experiment", jsonEscape(need(i)));
-            } else if (a == "--dram") {
-                jsonField(fields, "dram", jsonEscape(need(i)));
-            } else if (a == "--repl") {
-                jsonField(fields, "repl", jsonEscape(need(i)));
-            } else if (a == "--write") {
-                jsonField(fields, "write", jsonEscape(need(i)));
-            } else if (a == "--alloc") {
-                jsonField(fields, "alloc", jsonEscape(need(i)));
-            } else if (a == "--sizes") {
-                jsonField(fields, "sizes", jsonEscape(need(i)));
-            } else if (a == "--blocks") {
-                jsonField(fields, "blocks", jsonEscape(need(i)));
-            } else if (a == "--size") {
-                jsonField(fields, "size", jsonEscape(need(i)));
-            } else if (a == "--block") {
-                jsonField(fields, "block", jsonEscape(need(i)));
-            } else if (a == "--sector") {
-                jsonField(fields, "sector", jsonEscape(need(i)));
-            } else if (a == "--scale") {
-                jsonField(fields, "scale",
-                          formatJsonNumber(
-                              tryParseDouble(need(i)).orDie()));
-            } else if (a == "--seed") {
-                jsonField(fields, "seed",
-                          std::to_string(tryParseU64(need(i)).orDie()));
-            } else if (a == "--watchdog") {
-                jsonField(
-                    fields, "watchdog",
-                    std::to_string(tryParseU64(need(i)).orDie()));
-            } else if (a == "--assoc") {
-                jsonField(fields, "assoc",
-                          std::to_string(tryParseU64(need(i)).orDie()));
-            } else if (a == "--stream-buffers") {
-                jsonField(
-                    fields, "stream_buffers",
-                    std::to_string(tryParseU64(need(i)).orDie()));
-            } else if (a == "--stream-depth") {
-                jsonField(
-                    fields, "stream_depth",
-                    std::to_string(tryParseU64(need(i)).orDie()));
-            } else if (a == "--mshrs") {
-                jsonField(fields, "mshrs",
-                          std::to_string(tryParseInt(need(i), 0, 1024)
-                                             .orDie()));
-            } else if (a == "--window") {
-                jsonField(fields, "window",
-                          std::to_string(tryParseInt(need(i), 1, 4096)
-                                             .orDie()));
-            } else if (a == "--issue-width") {
-                jsonField(fields, "issue_width",
-                          std::to_string(
-                              tryParseInt(need(i), 1, 64).orDie()));
-            } else if (a == "--l1l2-bus") {
-                jsonField(fields, "l1l2_bus",
-                          std::to_string(tryParseInt(need(i), 1, 4096)
-                                             .orDie()));
-            } else if (a == "--mem-bus") {
-                jsonField(fields, "mem_bus",
-                          std::to_string(tryParseInt(need(i), 1, 4096)
-                                             .orDie()));
-            } else if (a == "--mtc") {
-                jsonField(fields, "mtc", "true");
-            } else if (a == "--stable-json") {
-                jsonField(fields, "stable", "true");
-            } else if (a == "--no-collapse") {
-                jsonField(fields, "no_collapse", "true");
-            } else if (a == "--no-partition") {
-                jsonField(fields, "no_partition", "true");
-            } else if (a == "--prefetch") {
-                jsonField(fields, "prefetch", "true");
-            } else if (a == "--spec95") {
-                jsonField(fields, "spec95", "true");
-            } else if (a == "--no-prefetch") {
-                jsonField(fields, "no_prefetch", "true");
+            } else if (wireField(sweepFields(), SweepRequest(), a) ||
+                       wireField(decomposeFields(), DecomposeRequest(), a)) {
             } else if (!a.empty() && a[0] == '-') {
                 std::fprintf(stderr, "unknown option '%s'\n\n",
                              a.c_str());

@@ -51,6 +51,7 @@
 #include "resilience/signals.hh"
 #include "resilience/watchdog.hh"
 #include "serve/decompose_service.hh"
+#include "serve/request_fields.hh"
 #include "workloads/workload.hh"
 
 using namespace membw;
@@ -124,52 +125,6 @@ usage(int code)
         "%s",
         exitCodeHelp);
     std::exit(code);
-}
-
-/** Report a malformed flag value and die: names the flag, echoes the
- * offending value, and shows a working example. */
-[[noreturn]] void
-badFlag(const std::string &flag, const std::string &value,
-        const Error &error, const std::string &example)
-{
-    fatal("invalid value '" + value + "' for " + flag + ": " +
-          error.message + " (example: " + flag + " " + example + ")");
-}
-
-unsigned
-smallFlag(const std::string &flag, const std::string &value)
-{
-    auto r = tryParseInt(value, 1, 1 << 20);
-    if (!r.ok())
-        badFlag(flag, value, r.error(), "4");
-    return static_cast<unsigned>(r.value());
-}
-
-std::uint64_t
-countFlag(const std::string &flag, const std::string &value)
-{
-    auto r = tryParseU64(value);
-    if (!r.ok())
-        badFlag(flag, value, r.error(), "100000");
-    return r.value();
-}
-
-double
-doubleFlag(const std::string &flag, const std::string &value)
-{
-    auto r = tryParseDouble(value);
-    if (!r.ok())
-        badFlag(flag, value, r.error(), "0.5");
-    return r.value();
-}
-
-unsigned
-jobsFlag(const std::string &flag, const std::string &value)
-{
-    auto r = tryParseJobs(value);
-    if (!r.ok())
-        badFlag(flag, value, r.error(), "4");
-    return r.value();
 }
 
 /** Thrown from the progress hook to abort an in-flight phase once a
@@ -269,15 +224,10 @@ int
 main(int argc, char **argv)
 {
     try {
-        std::string workload;
-        char letter = 'F';
+        DecomposeRequest dreq; // every decomposeFields() flag
         bool allExperiments = false;
         unsigned jobs = defaultJobs();
-        bool spec95 = false;
-        double scale = 0.5;
-        std::uint64_t seed = 42;
         std::string statsJson;
-        bool stableJson = false;
         std::uint64_t statsEvery = 0;
         std::string traceOut;
         std::string seriesOut;
@@ -285,11 +235,8 @@ main(int argc, char **argv)
         std::uint64_t profileEpoch = 0;
         std::string checkpoint;
         std::string resume;
-        Cycle watchdogCycles = 1'000'000;
         std::uint64_t sigtermAfter = 0;
         std::string faultInject;
-
-        DecomposeOverrides ov;
 
         auto need = [&](int &i) -> std::string {
             if (i + 1 >= argc) {
@@ -316,42 +263,18 @@ main(int argc, char **argv)
                                             simdTierName(simdTier()))
                                 .c_str());
                 std::exit(exitOk);
-            } else if (a == "--workload")
-                workload = need(i);
-            else if (a == "--experiment") {
-                const std::string v = need(i);
-                if (v == "all")
-                    allExperiments = true;
-                else
-                    letter = v[0];
+            } else if (a == "--experiment" && i + 1 < argc &&
+                       std::string(argv[i + 1]) == "all") {
+                allExperiments = true;
+                ++i;
+            } else if (parseRequestFlag(decomposeFields(), dreq, a,
+                                        [&] { return need(i); })) {
             } else if (a == "--jobs")
-                jobs = jobsFlag(a, need(i));
-            else if (a == "--spec95")
-                spec95 = true;
-            else if (a == "--scale")
-                scale = doubleFlag(a, need(i));
-            else if (a == "--seed")
-                seed = countFlag(a, need(i));
-            else if (a == "--mshrs")
-                ov.mshrs = static_cast<int>(smallFlag(a, need(i)));
-            else if (a == "--window")
-                ov.window = static_cast<int>(smallFlag(a, need(i)));
-            else if (a == "--issue-width")
-                ov.width = static_cast<int>(smallFlag(a, need(i)));
-            else if (a == "--no-prefetch")
-                ov.noPrefetch = true;
-            else if (a == "--l1l2-bus")
-                ov.l1l2 = static_cast<int>(smallFlag(a, need(i)));
-            else if (a == "--mem-bus")
-                ov.membus = static_cast<int>(smallFlag(a, need(i)));
-            else if (a == "--dram")
-                ov.dram = need(i);
+                jobs = flagValue(tryParseJobs, a, need(i), "4");
             else if (a == "--stats-json")
                 statsJson = need(i);
-            else if (a == "--stable-json")
-                stableJson = true;
             else if (a == "--stats-every")
-                statsEvery = countFlag(a, need(i));
+                statsEvery = flagValue(tryParseU64, a, need(i), "100000");
             else if (a == "--trace-out")
                 traceOut = need(i);
             else if (a == "--series-out")
@@ -359,15 +282,13 @@ main(int argc, char **argv)
             else if (a == "--profile-out")
                 profileOut = need(i);
             else if (a == "--profile-epoch")
-                profileEpoch = countFlag(a, need(i));
+                profileEpoch = flagValue(tryParseU64, a, need(i), "100000");
             else if (a == "--checkpoint")
                 checkpoint = need(i);
             else if (a == "--resume")
                 resume = need(i);
-            else if (a == "--watchdog")
-                watchdogCycles = countFlag(a, need(i));
             else if (a == "--sigterm-after")
-                sigtermAfter = countFlag(a, need(i));
+                sigtermAfter = flagValue(tryParseU64, a, need(i), "100000");
             else if (a == "--fault-inject")
                 faultInject = need(i);
             else {
@@ -377,7 +298,7 @@ main(int argc, char **argv)
                 std::exit(exitUsage);
             }
         }
-        if (workload.empty())
+        if (dreq.workload.empty())
             usage(exitUsage);
         if (profileEpoch && profileOut.empty())
             fatal("--profile-epoch requires --profile-out");
@@ -399,15 +320,10 @@ main(int argc, char **argv)
         // Shared with the membw_served daemon (serve layer), which is
         // what keeps served decompose responses byte-identical to
         // this tool's --stats-json output.
-        auto applyOverrides = [&](ExperimentConfig &cfg) {
-            applyDecomposeOverrides(cfg, ov);
-        };
-
-        ExperimentConfig cfg = makeExperiment(letter, spec95);
-        applyOverrides(cfg);
+        ExperimentConfig cfg = decomposeConfig(dreq);
 
         const InstrStream stream =
-            buildDecomposeStream(workload, scale, seed);
+            buildDecomposeStream(dreq.workload, dreq.scale, dreq.seed);
 
         if (allExperiments) {
             if (!checkpoint.empty() || !resume.empty())
@@ -431,8 +347,8 @@ main(int argc, char **argv)
             constexpr std::size_t nCells = 6 * decompositionPhases;
 
             std::printf("%s on experiments A-F%s (%zu micro-ops)\n",
-                        workload.c_str(), spec95 ? " (SPEC95)" : "",
-                        stream.size());
+                        dreq.workload.c_str(),
+                        dreq.spec95 ? " (SPEC95)" : "", stream.size());
             // Worker count goes to stderr: stdout must stay
             // byte-identical at any --jobs value.
             emitLinef("membw_decompose: %u worker%s over %zu "
@@ -479,9 +395,9 @@ main(int argc, char **argv)
                                   std::to_string(i) + ")");
                         ExperimentConfig cell = makeExperiment(
                             letters[i / decompositionPhases],
-                            spec95);
-                        applyOverrides(cell);
-                        Watchdog watchdog(watchdogCycles);
+                            dreq.spec95);
+                        applyDecomposeOverrides(cell, dreq.overrides);
+                        Watchdog watchdog(dreq.watchdogCycles);
                         cell.core.watchdog = &watchdog;
                         // The hook is a shutdown poll only:
                         // progress meters and stats registries are
@@ -556,15 +472,15 @@ main(int argc, char **argv)
                 RunManifest manifest;
                 manifest.tool = "membw_decompose";
                 manifest.experiment = "all";
-                manifest.workload = workload;
-                manifest.config = spec95 ? "Table 5 A-F (SPEC95)"
-                                         : "Table 5 A-F";
-                manifest.seed = seed;
-                manifest.scale = scale;
+                manifest.workload = dreq.workload;
+                manifest.config = dreq.spec95 ? "Table 5 A-F (SPEC95)"
+                                              : "Table 5 A-F";
+                manifest.seed = dreq.seed;
+                manifest.scale = dreq.scale;
                 manifest.refs = stream.size();
                 manifest.wallSeconds = timer.seconds();
                 manifest.degraded = degraded;
-                manifest.omitTiming = stableJson;
+                manifest.omitTiming = dreq.stableJson;
                 // --jobs deliberately unrecorded: the JSON must be
                 // byte-identical at any worker count.
                 JsonWriter w;
@@ -603,12 +519,12 @@ main(int argc, char **argv)
             profilerInit(profileOut, profileEpoch)
                 .setVerbose(logEnabled(LogLevel::Debug));
 
-        // Checkpoint identity: the full machine description plus the
-        // stream's provenance.  The stream size is verified
-        // separately for a clearer message.
-        const std::uint64_t digest = fnv1a64(
-            cfg.describe() + "|" + workload + "|" +
-            std::to_string(seed) + "|" + std::to_string(scale));
+        // Checkpoint identity: every Input and Model field, so only
+        // --stable-json and --watchdog may change on resume.  The
+        // stream size is verified separately for a clearer message.
+        const std::uint64_t digest = fnv1a64(canonicalFields(
+            dreq, decomposeFields(),
+            {FieldRole::Input, FieldRole::Model}));
 
         CoreResult results[decompositionPhases];
         unsigned phasesDone = 0;
@@ -675,11 +591,11 @@ main(int argc, char **argv)
                 throw PhaseInterrupt{};
         };
 
-        std::printf("%s on %s (%.0f MHz)\n", workload.c_str(),
+        std::printf("%s on %s (%.0f MHz)\n", dreq.workload.c_str(),
                     cfg.describe().c_str(), cfg.cpuMHz);
 
         for (; phasesDone < decompositionPhases; ++phasesDone) {
-            Watchdog watchdog(watchdogCycles);
+            Watchdog watchdog(dreq.watchdogCycles);
             cfg.core.watchdog = &watchdog;
             liveWatchdog = &watchdog;
             livePhase = phasesDone;
@@ -734,18 +650,18 @@ main(int argc, char **argv)
                     }
                     RunManifest manifest;
                     manifest.tool = "membw_decompose";
-                    manifest.experiment = std::string(1, letter);
-                    manifest.workload = workload;
+                    manifest.experiment = std::string(1, dreq.letter);
+                    manifest.workload = dreq.workload;
                     manifest.config = cfg.describe();
-                    manifest.seed = seed;
-                    manifest.scale = scale;
+                    manifest.seed = dreq.seed;
+                    manifest.scale = dreq.scale;
                     manifest.refs = stream.size();
                     manifest.wallSeconds = timer.seconds();
                     manifest.interrupted = true;
-                    manifest.omitTiming = stableJson;
+                    manifest.omitTiming = dreq.stableJson;
                     manifest.set("phases_done",
                                  std::to_string(phasesDone));
-                    writeProfileManifest(manifest, stableJson);
+                    writeProfileManifest(manifest, dreq.stableJson);
 
                     JsonWriter w;
                     w.beginObject();
@@ -801,15 +717,6 @@ main(int argc, char **argv)
             // Render through the shared serve-layer formatter so the
             // document is byte-for-byte what the daemon serves for
             // the same request.
-            DecomposeRequest dreq;
-            dreq.workload = workload;
-            dreq.letter = letter;
-            dreq.spec95 = spec95;
-            dreq.scale = scale;
-            dreq.seed = seed;
-            dreq.overrides = ov;
-            dreq.stableJson = stableJson;
-            dreq.watchdogCycles = watchdogCycles;
             writeFileOrDie(statsJson,
                            renderDecomposeStatsJson(
                                dreq, stream.size(), r,

@@ -55,6 +55,7 @@
 #include "resilience/exit_codes.hh"
 #include "resilience/fault_injection.hh"
 #include "resilience/signals.hh"
+#include "serve/request_fields.hh"
 #include "serve/sweep_service.hh"
 #include "trace/block_stream.hh"
 #include "trace/trace_io.hh"
@@ -179,90 +180,17 @@ usage(int code)
     std::exit(code);
 }
 
-/** Report a malformed flag value and die: names the flag, echoes the
- * offending value, and shows a working example. */
-[[noreturn]] void
-badFlag(const std::string &flag, const std::string &value,
-        const Error &error, const std::string &example)
-{
-    fatal("invalid value '" + value + "' for " + flag + ": " +
-          error.message + " (example: " + flag + " " + example + ")");
-}
-
-Bytes
-sizeFlag(const std::string &flag, const std::string &value)
-{
-    auto r = tryParseSize(value);
-    if (!r.ok())
-        badFlag(flag, value, r.error(), "64K");
-    return r.value();
-}
-
-std::uint64_t
-countFlag(const std::string &flag, const std::string &value)
-{
-    auto r = tryParseU64(value);
-    if (!r.ok())
-        badFlag(flag, value, r.error(), "100000");
-    return r.value();
-}
-
-unsigned
-smallFlag(const std::string &flag, const std::string &value)
-{
-    auto r = tryParseInt(value, 0, 1 << 20);
-    if (!r.ok())
-        badFlag(flag, value, r.error(), "4");
-    return static_cast<unsigned>(r.value());
-}
-
-double
-doubleFlag(const std::string &flag, const std::string &value)
-{
-    auto r = tryParseDouble(value);
-    if (!r.ok())
-        badFlag(flag, value, r.error(), "1.0");
-    return r.value();
-}
-
-std::vector<Bytes>
-sizeListFlag(const std::string &flag, const std::string &value)
-{
-    auto r = tryParseSizeList(value);
-    if (!r.ok())
-        badFlag(flag, value, r.error(), "1K,64K,1M");
-    return r.value();
-}
-
-unsigned
-jobsFlag(const std::string &flag, const std::string &value)
-{
-    auto r = tryParseJobs(value);
-    if (!r.ok())
-        badFlag(flag, value, r.error(), "4");
-    return r.value();
-}
-
 struct Options
 {
-    std::string workload;
+    SweepRequest req; ///< every sweepFields() flag; sizes = sweep mode
     std::string loadTrace;
     std::string saveTrace;
     TraceFormat format = TraceFormat::Raw;
-    double scale = 1.0;
-    std::uint64_t seed = 42;
-    CacheConfig l1;
     bool haveL2 = false;
     CacheConfig l2;
-    bool runMtc = false;
-    bool noCollapse = false;
-    bool noPartition = false;
     double pinBandwidthMBs = 800.0;
-    std::vector<Bytes> sweepSizes;  ///< non-empty = sweep mode
-    std::vector<Bytes> sweepBlocks; ///< default: the single --block
     unsigned jobs = defaultJobs();
     std::string statsJson;
-    bool stableJson = false;
     std::uint64_t statsEvery = 0;
     std::string traceOut;
     std::string seriesOut;
@@ -271,20 +199,14 @@ struct Options
     std::string checkpoint;
     std::uint64_t checkpointEvery = 0;
     std::string resume;
-    std::uint64_t eventBudget = 1'000'000;
     std::uint64_t sigtermAfter = 0;
     std::string faultInject;
-    /// How the trace reached the simulator ("generated", "binary",
-    /// or "mmap"); recorded in non-stable stats-JSON manifests.
-    std::string traceFormat = "generated";
 };
 
 Options
 parse(int argc, char **argv)
 {
     Options o;
-    o.l1.name = "L1";
-    o.l1.size = 64_KiB;
     o.l2.name = "L2";
     o.l2.size = 1_MiB;
     o.l2.assoc = 4;
@@ -318,8 +240,8 @@ parse(int argc, char **argv)
             for (const auto &n : allWorkloadNames())
                 std::printf("%s\n", n.c_str());
             std::exit(exitOk);
-        } else if (a == "--workload") {
-            o.workload = need(i);
+        } else if (parseRequestFlag(sweepFields(), o.req, a,
+                                    [&] { return need(i); })) {
         } else if (a == "--load-trace") {
             o.loadTrace = need(i);
         } else if (a == "--save-trace") {
@@ -336,81 +258,27 @@ parse(int argc, char **argv)
                                     "' for --trace-format: expected "
                                     "raw, compact, or mmap"),
                               TraceFormat::Raw);
-        } else if (a == "--scale") {
-            o.scale = doubleFlag(a, need(i));
-        } else if (a == "--seed") {
-            o.seed = countFlag(a, need(i));
-        } else if (a == "--size") {
-            o.l1.size = sizeFlag(a, need(i));
-        } else if (a == "--assoc") {
-            o.l1.assoc = smallFlag(a, need(i));
-        } else if (a == "--block") {
-            o.l1.blockBytes = sizeFlag(a, need(i));
-        } else if (a == "--sector") {
-            o.l1.sectorBytes = sizeFlag(a, need(i));
-        } else if (a == "--repl") {
-            const std::string v = need(i);
-            o.l1.repl = v == "lru"    ? ReplPolicy::LRU
-                        : v == "fifo" ? ReplPolicy::FIFO
-                        : v == "random"
-                            ? ReplPolicy::Random
-                            : (fatal("invalid value '" + v +
-                                     "' for --repl: expected lru, "
-                                     "fifo, or random"),
-                               ReplPolicy::LRU);
-        } else if (a == "--write") {
-            const std::string v = need(i);
-            o.l1.write = v == "wb"   ? WritePolicy::WriteBack
-                         : v == "wt" ? WritePolicy::WriteThrough
-                                     : (fatal("invalid value '" + v +
-                                              "' for --write: "
-                                              "expected wb or wt"),
-                                        WritePolicy::WriteBack);
-        } else if (a == "--alloc") {
-            const std::string v = need(i);
-            o.l1.alloc = v == "wa"    ? AllocPolicy::WriteAllocate
-                         : v == "wna" ? AllocPolicy::WriteNoAllocate
-                         : v == "wv"  ? AllocPolicy::WriteValidate
-                                      : (fatal("invalid value '" + v +
-                                               "' for --alloc: "
-                                               "expected wa, wna, or "
-                                               "wv"),
-                                         AllocPolicy::WriteAllocate);
-        } else if (a == "--prefetch") {
-            o.l1.taggedPrefetch = true;
-        } else if (a == "--stream-buffers") {
-            o.l1.streamBuffers = smallFlag(a, need(i));
-        } else if (a == "--stream-depth") {
-            o.l1.streamDepth = smallFlag(a, need(i));
         } else if (a == "--l2-size") {
-            o.l2.size = sizeFlag(a, need(i));
+            o.l2.size = flagValue(tryParseSize, a, need(i), "1M");
             o.haveL2 = true;
         } else if (a == "--l2-assoc") {
-            o.l2.assoc = smallFlag(a, need(i));
+            o.l2.assoc = static_cast<unsigned>(flagValue(
+                [](const std::string &v) {
+                    return tryParseInt(v, 0, 1 << 20);
+                },
+                a, need(i), "4"));
             o.haveL2 = true;
         } else if (a == "--l2-block") {
-            o.l2.blockBytes = sizeFlag(a, need(i));
+            o.l2.blockBytes = flagValue(tryParseSize, a, need(i), "64");
             o.haveL2 = true;
-        } else if (a == "--mtc") {
-            o.runMtc = true;
-        } else if (a == "--no-collapse") {
-            o.noCollapse = true;
-        } else if (a == "--no-partition") {
-            o.noPartition = true;
-        } else if (a == "--sweep-sizes") {
-            o.sweepSizes = sizeListFlag(a, need(i));
-        } else if (a == "--sweep-blocks") {
-            o.sweepBlocks = sizeListFlag(a, need(i));
         } else if (a == "--jobs") {
-            o.jobs = jobsFlag(a, need(i));
+            o.jobs = flagValue(tryParseJobs, a, need(i), "4");
         } else if (a == "--pin-bandwidth") {
-            o.pinBandwidthMBs = doubleFlag(a, need(i));
+            o.pinBandwidthMBs = flagValue(tryParseDouble, a, need(i), "800");
         } else if (a == "--stats-json") {
             o.statsJson = need(i);
-        } else if (a == "--stable-json") {
-            o.stableJson = true;
         } else if (a == "--stats-every") {
-            o.statsEvery = countFlag(a, need(i));
+            o.statsEvery = flagValue(tryParseU64, a, need(i), "100000");
         } else if (a == "--trace-out") {
             o.traceOut = need(i);
         } else if (a == "--series-out") {
@@ -418,17 +286,15 @@ parse(int argc, char **argv)
         } else if (a == "--profile-out") {
             o.profileOut = need(i);
         } else if (a == "--profile-epoch") {
-            o.profileEpoch = countFlag(a, need(i));
+            o.profileEpoch = flagValue(tryParseU64, a, need(i), "100000");
         } else if (a == "--checkpoint") {
             o.checkpoint = need(i);
         } else if (a == "--checkpoint-every") {
-            o.checkpointEvery = countFlag(a, need(i));
+            o.checkpointEvery = flagValue(tryParseU64, a, need(i), "100000");
         } else if (a == "--resume") {
             o.resume = need(i);
-        } else if (a == "--watchdog") {
-            o.eventBudget = countFlag(a, need(i));
         } else if (a == "--sigterm-after") {
-            o.sigtermAfter = countFlag(a, need(i));
+            o.sigtermAfter = flagValue(tryParseU64, a, need(i), "100000");
         } else if (a == "--fault-inject") {
             o.faultInject = need(i);
         } else {
@@ -438,8 +304,9 @@ parse(int argc, char **argv)
             std::exit(exitUsage);
         }
     }
-    if (o.workload.empty() && o.loadTrace.empty())
+    if (o.req.workload.empty() && o.loadTrace.empty())
         usage(exitUsage);
+    o.req.label = o.req.workload.empty() ? o.loadTrace : o.req.workload;
     if (!o.checkpoint.empty() && o.checkpointEvery == 0)
         o.checkpointEvery = 1'000'000;
     if (o.profileEpoch && o.profileOut.empty())
@@ -532,7 +399,7 @@ loadCheckpoint(const Options &o, RunState &state, CacheHierarchy &hier,
         fatal("cannot resume from '" + o.resume +
               "': checkpoint was taken under a different cache "
               "configuration");
-    if (state.phase == phaseMtc && !o.runMtc)
+    if (state.phase == phaseMtc && !o.req.runMtc)
         fatal("cannot resume from '" + o.resume +
               "': checkpoint is in the MTC phase but --mtc was not "
               "given");
@@ -577,31 +444,31 @@ writeStatsJson(const Options &o, const RunState &state,
 
     RunManifest manifest;
     manifest.tool = "membw_sim";
-    manifest.workload = o.workload.empty() ? o.loadTrace : o.workload;
-    manifest.config = o.l1.describe();
+    manifest.workload = o.req.label;
+    manifest.config = o.req.l1.describe();
     if (o.haveL2)
         manifest.config += " + " + o.l2.describe();
-    manifest.seed = o.seed;
-    manifest.scale = o.scale;
+    manifest.seed = o.req.seed;
+    manifest.scale = o.req.scale;
     manifest.refs = trace.size();
     manifest.wallSeconds = wallSeconds;
     manifest.interrupted = interrupted;
-    manifest.omitTiming = o.stableJson;
+    manifest.omitTiming = o.req.stableJson;
     if (interrupted) {
         manifest.set("interrupted_phase",
                      state.phase == phaseHierarchy ? "hierarchy"
                                                    : "mtc");
     }
-    if (o.runMtc)
-        manifest.set("mtc_config", canonicalMtc(o.l1.size).describe());
+    if (o.req.runMtc)
+        manifest.set("mtc_config", canonicalMtc(o.req.l1.size).describe());
     // Execution provenance (how the trace arrived, which SIMD tier
     // served it) describes this run rather than what it computed, so
     // it is omitted under --stable-json like wall_seconds.
-    if (!o.stableJson) {
-        manifest.set("trace_format", o.traceFormat);
+    if (!o.req.stableJson) {
+        manifest.set("trace_format", o.req.traceFormat);
         manifest.set("simd_tier", simdTierName(simdTier()));
     }
-    writeProfileManifest(manifest, o.stableJson);
+    writeProfileManifest(manifest, o.req.stableJson);
 
     JsonWriter w;
     w.beginObject();
@@ -684,25 +551,12 @@ runSweep(const Options &o, const Trace &trace,
               "concurrently and share no reference clock (profile a "
               "single-config run instead)");
 
-    SweepRequest req;
-    req.workload = o.workload;
-    req.label = o.workload.empty() ? o.loadTrace : o.workload;
-    req.scale = o.scale;
-    req.seed = o.seed;
-    req.l1 = o.l1;
-    req.runMtc = o.runMtc;
-    req.sizes = o.sweepSizes;
-    req.blocks = o.sweepBlocks;
-    req.stableJson = o.stableJson;
-    req.noCollapse = o.noCollapse;
-    req.noPartition = o.noPartition;
-    req.eventBudget = o.eventBudget;
-    req.traceFormat = o.traceFormat;
+    const SweepRequest &req = o.req;
 
     const std::vector<Bytes> blocks = resolveSweepBlocks(req);
     const std::size_t nHier = req.sizes.size() * blocks.size();
     const std::size_t nCells =
-        nHier + (o.runMtc ? req.sizes.size() : 0);
+        nHier + (req.runMtc ? req.sizes.size() : 0);
 
     // Pre-validate every cell geometry so the diagnostic lands
     // before any sweep banner (executeSweep validates again; both
@@ -714,7 +568,7 @@ runSweep(const Options &o, const Trace &trace,
     // byte-identical at any --jobs value.
     std::printf("\nsweep: %zu cells (%zu sizes x %zu blocks%s)\n",
                 nCells, req.sizes.size(), blocks.size(),
-                o.runMtc ? " + MTC" : "");
+                req.runMtc ? " + MTC" : "");
     emitLinef("membw_sim: sweep using %u worker%s", o.jobs,
               o.jobs == 1 ? "" : "s");
 
@@ -776,7 +630,7 @@ runSweep(const Options &o, const Trace &trace,
     std::vector<std::string> hdr{"size"};
     for (Bytes b : blocks)
         hdr.push_back("R @" + formatSize(b));
-    if (o.runMtc)
+    if (req.runMtc)
         hdr.push_back("MTC KB");
     t.header(hdr);
     for (std::size_t si = 0; si < req.sizes.size(); ++si) {
@@ -790,7 +644,7 @@ runSweep(const Options &o, const Trace &trace,
                     : fixed(outcome.cells[idx].traffic.trafficRatio,
                             4));
         }
-        if (o.runMtc) {
+        if (req.runMtc) {
             const std::size_t idx = nHier + si;
             row.push_back(
                 idx >= usable ? "..."
@@ -829,6 +683,7 @@ main(int argc, char **argv)
 {
     try {
         Options o = parse(argc, argv);
+        const CacheConfig &l1 = o.req.l1;
         if (!o.faultInject.empty()) {
             auto armed = armFaultPlan(o.faultInject);
             if (!armed.ok())
@@ -840,7 +695,7 @@ main(int argc, char **argv)
             tracingInit(o.traceOut, "membw_sim");
         if (!o.seriesOut.empty())
             SeriesWriter::global().init(o.seriesOut);
-        if (!o.profileOut.empty() && o.sweepSizes.empty())
+        if (!o.profileOut.empty() && o.req.sizes.empty())
             profilerInit(o.profileOut, o.profileEpoch)
                 .setVerbose(logEnabled(LogLevel::Debug));
 
@@ -854,10 +709,10 @@ main(int argc, char **argv)
             if (m.ok()) {
                 mapped = std::move(m.value());
                 trace = mapped->materialize();
-                o.traceFormat = "mmap";
+                o.req.traceFormat = "mmap";
             } else if (m.error().code == Errc::BadMagic) {
                 trace = loadTrace(o.loadTrace); // raw/compact
-                o.traceFormat = "binary";
+                o.req.traceFormat = "binary";
             } else {
                 fatal("cannot load trace '" + o.loadTrace +
                       "': " + m.error().describe());
@@ -865,15 +720,15 @@ main(int argc, char **argv)
             std::printf("trace: %s (%zu refs)\n", o.loadTrace.c_str(),
                         trace.size());
         } else {
-            MEMBW_SPAN_D("trace.generate", o.workload);
+            MEMBW_SPAN_D("trace.generate", o.req.workload);
             WorkloadParams p;
-            p.scale = o.scale;
-            p.seed = o.seed;
-            trace = makeWorkload(o.workload)->trace(p);
+            p.scale = o.req.scale;
+            p.seed = o.req.seed;
+            trace = makeWorkload(o.req.workload)->trace(p);
             std::printf("workload: %s (%zu refs, scale %.2f, "
                         "seed %llu)\n",
-                        o.workload.c_str(), trace.size(), o.scale,
-                        static_cast<unsigned long long>(o.seed));
+                        o.req.workload.c_str(), trace.size(), o.req.scale,
+                        static_cast<unsigned long long>(o.req.seed));
         }
 
         if (!o.saveTrace.empty()) {
@@ -882,36 +737,40 @@ main(int argc, char **argv)
             return exitOk;
         }
 
-        if (!o.sweepSizes.empty())
+        if (!o.req.sizes.empty())
             return runSweep(o, trace,
                             mapped ? &*mapped : nullptr);
 
-        std::vector<CacheConfig> levels{o.l1};
+        std::vector<CacheConfig> levels{l1};
         if (o.haveL2)
             levels.push_back(o.l2);
 
         RunState state;
         state.traceCrc = traceCrc32(trace);
         {
-            std::string identity = o.l1.describe();
+            // Every Model field (the L1 and --mtc; the trace's own
+            // fields are covered by its CRC) plus the L2 geometry.
+            std::string identity =
+                canonicalFields(o.req, sweepFields(), {FieldRole::Model});
             if (o.haveL2)
-                identity += " + " + o.l2.describe();
-            identity += o.runMtc ? " +mtc" : "";
+                identity += ",\"l2\":[" + std::to_string(o.l2.size) +
+                            "," + std::to_string(o.l2.assoc) + "," +
+                            std::to_string(o.l2.blockBytes) + "]";
             state.configDigest = fnv1a64(identity);
         }
 
         CacheHierarchy hier(levels);
-        hier.setEventBudget(o.eventBudget);
+        hier.setEventBudget(o.req.eventBudget);
 
         // The MTC's next-use pass is O(n) over the trace, so only
         // build the simulator when the phase can actually run.
         std::optional<MinCacheSim> mtcSim;
-        if (o.runMtc)
-            mtcSim.emplace(trace, canonicalMtc(o.l1.size));
+        if (o.req.runMtc)
+            mtcSim.emplace(trace, canonicalMtc(l1.size));
 
         if (!o.resume.empty()) {
             loadCheckpoint(o, state, hier,
-                           o.runMtc ? &*mtcSim : nullptr);
+                           o.req.runMtc ? &*mtcSim : nullptr);
             std::printf("resumed from %s (%s phase, ref %llu)\n",
                         o.resume.c_str(),
                         state.phase == phaseHierarchy ? "hierarchy"
@@ -956,8 +815,8 @@ main(int argc, char **argv)
             !o.profileOut.empty() || !o.seriesOut.empty() ||
             !o.faultInject.empty();
         if (state.phase == phaseHierarchy && o.jobs > 1 &&
-            !o.noPartition && !perRefState && !o.haveL2 &&
-            ladderKernelSupported(o.l1)) {
+            !o.req.noPartition && !perRefState && !o.haveL2 &&
+            ladderKernelSupported(l1)) {
             // All-word traces (the QPT recording invariant — every
             // generated workload qualifies) replay fused straight
             // off the MemRef array; the fused kernels validate the
@@ -973,7 +832,7 @@ main(int argc, char **argv)
             std::optional<TrafficResult> res;
             bool eligible = false;
             TrafficResult word;
-            switch (partitionedLadderRunWord(trace, o.l1, popt,
+            switch (partitionedLadderRunWord(trace, l1, popt,
                                              word)) {
             case WordRunOutcome::Done:
                 eligible = true;
@@ -984,11 +843,11 @@ main(int argc, char **argv)
                 break;
             case WordRunOutcome::NotAllWord: {
                 const BlockStream stream =
-                    mapped ? buildBlockStream(*mapped, o.l1.blockBytes)
-                           : buildBlockStream(trace, o.l1.blockBytes);
-                if (ladderCollapsible(stream, {o.l1})) {
+                    mapped ? buildBlockStream(*mapped, l1.blockBytes)
+                           : buildBlockStream(trace, l1.blockBytes);
+                if (ladderCollapsible(stream, {l1})) {
                     eligible = true;
-                    res = partitionedLadderRun(stream, o.l1, popt);
+                    res = partitionedLadderRun(stream, l1, popt);
                 }
                 break;
             }
@@ -997,7 +856,7 @@ main(int argc, char **argv)
                 emitLinef("membw_sim: set-partitioned hierarchy "
                           "pass across %u workers (%u partitions)",
                           o.jobs,
-                          partitionPartsFor(o.l1, o.jobs, 0, 1));
+                          partitionPartsFor(l1, o.jobs, 0, 1));
                 if (!res) {
                     emitLinef("\n%s received: partitioned pass "
                               "abandoned, shutting down",
@@ -1071,7 +930,7 @@ main(int argc, char **argv)
 
         const TrafficResult &r = state.hierResult;
 
-        std::printf("\nL1: %s\n", o.l1.describe().c_str());
+        std::printf("\nL1: %s\n", l1.describe().c_str());
         if (o.haveL2)
             std::printf("L2: %s\n", o.l2.describe().c_str());
         std::printf("  accesses        : %llu\n",
@@ -1090,7 +949,7 @@ main(int argc, char **argv)
                     o.pinBandwidthMBs);
 
         MinCacheStats mtc;
-        if (o.runMtc) {
+        if (o.req.runMtc) {
             // Phase 1: the minimal-traffic cache, in checkpointable
             // slices.
             const std::size_t slice =
@@ -1160,7 +1019,7 @@ main(int argc, char **argv)
             const double g = static_cast<double>(r.levelTraffic[0]) /
                              static_cast<double>(mtc.trafficBelow());
             std::printf("\nMTC (%s):\n",
-                        canonicalMtc(o.l1.size).describe().c_str());
+                        canonicalMtc(l1.size).describe().c_str());
             std::printf("  MTC traffic     : %llu bytes\n",
                         static_cast<unsigned long long>(
                             mtc.trafficBelow()));
@@ -1171,7 +1030,7 @@ main(int argc, char **argv)
 
         if (!o.statsJson.empty())
             writeStatsJson(o, state, trace, &r,
-                           o.runMtc ? &mtc : nullptr, timer.seconds(),
+                           o.req.runMtc ? &mtc : nullptr, timer.seconds(),
                            false);
         if (prof) {
             profilerWriteNow("membw_sim");
