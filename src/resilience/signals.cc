@@ -1,24 +1,30 @@
 #include "resilience/signals.hh"
 
+#include <atomic>
 #include <csignal>
 
 namespace membw {
 
 namespace {
 
-volatile std::sig_atomic_t pendingSignal = 0;
+// Written by the handler and read from any thread: a lock-free
+// atomic is both async-signal-safe and free of data races, where a
+// volatile sig_atomic_t is only the former.
+std::atomic<int> pendingSignal{0};
+static_assert(std::atomic<int>::is_always_lock_free,
+              "the shutdown flag must be usable from a signal handler");
 
 extern "C" void
 shutdownHandler(int signum)
 {
-    if (pendingSignal != 0) {
+    if (pendingSignal.load(std::memory_order_relaxed) != 0) {
         // Second request: restore default disposition and re-raise,
         // so a stuck drain can still be killed from the keyboard.
         std::signal(signum, SIG_DFL);
         std::raise(signum);
         return;
     }
-    pendingSignal = signum;
+    pendingSignal.store(signum, std::memory_order_relaxed);
 }
 
 } // namespace
@@ -33,13 +39,13 @@ installShutdownHandlers()
 int
 shutdownRequested()
 {
-    return static_cast<int>(pendingSignal);
+    return pendingSignal.load(std::memory_order_relaxed);
 }
 
 const char *
 shutdownSignalName()
 {
-    switch (pendingSignal) {
+    switch (pendingSignal.load(std::memory_order_relaxed)) {
       case SIGINT: return "SIGINT";
       case SIGTERM: return "SIGTERM";
       default: return "";
@@ -49,7 +55,7 @@ shutdownSignalName()
 void
 clearShutdownRequest()
 {
-    pendingSignal = 0;
+    pendingSignal.store(0, std::memory_order_relaxed);
 }
 
 } // namespace membw

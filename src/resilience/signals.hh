@@ -3,9 +3,9 @@
  * Async-signal-safe graceful-shutdown plumbing.
  *
  * installShutdownHandlers() registers SIGINT/SIGTERM handlers that do
- * nothing but store the signal number into a volatile sig_atomic_t —
- * the only action the C and POSIX standards guarantee is safe inside
- * a handler.  Simulation loops poll shutdownRequested() between
+ * nothing but store the signal number into a lock-free std::atomic<int>,
+ * which is safe inside a handler and race-free for the threads that
+ * poll it.  Simulation loops poll shutdownRequested() between
  * references (so the current reference always drains), then write a
  * final checkpoint and partial stats and exit with exitInterrupted.
  *

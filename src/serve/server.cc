@@ -368,13 +368,12 @@ ServeServer::computeSweep(const SweepRequest &req,
     eopts.nextUseProvider = [this, served, crc] {
         const std::string key = "nextuse|" + crc + "|" +
                                 std::to_string(wordBytes);
-        return artifacts_.getOrBuild<std::vector<Tick>>(key, [&] {
-            auto table = std::make_shared<std::vector<Tick>>(
-                buildNextUse(served->trace, wordBytes));
-            const std::size_t bytes =
-                table->size() * sizeof(Tick);
-            return ArtifactCache::Built<std::vector<Tick>>{
-                std::move(table), bytes};
+        return artifacts_.getOrBuild<NextUseKeys>(key, [&] {
+            NextUseTable table =
+                makeNextUseTable(served->trace, wordBytes);
+            const std::size_t bytes = table->bytes();
+            return ArtifactCache::Built<NextUseKeys>{std::move(table),
+                                                     bytes};
         });
     };
 

@@ -250,8 +250,10 @@ TEST(StackDistance, MissRatioMonotoneInSize)
 
 TEST(WriteAwareMin, NeverGeneratesMoreTraffic)
 {
-    // Both victims have infinite next use, so the clean-preference
-    // cannot add misses — traffic can only shrink.
+    // The clean-victim preference only chooses among dead blocks, so
+    // it adds no miss, and a dead dirty block is written back exactly
+    // once, on eviction or in the final flush: total traffic is
+    // unchanged, and only the write-back/flush split can move.
     Rng rng(77);
     Trace t;
     for (int i = 0; i < 40000; ++i) {
@@ -259,15 +261,23 @@ TEST(WriteAwareMin, NeverGeneratesMoreTraffic)
         t.append(a, 4,
                  rng.chance(0.5) ? RefKind::Store : RefKind::Load);
     }
+    bool moved = false;
     for (Bytes size : {1_KiB, 4_KiB}) {
-        MinCacheConfig plain = canonicalMtc(size);
-        MinCacheConfig aware = plain;
-        aware.writeAware = true;
-        const MinCacheStats a = runMinCache(t, plain);
-        const MinCacheStats b = runMinCache(t, aware);
-        EXPECT_LE(b.trafficBelow(), a.trafficBelow()) << size;
-        EXPECT_EQ(a.misses, b.misses) << size;
+        for (bool bypass : {true, false}) {
+            MinCacheConfig plain = canonicalMtc(size);
+            plain.allowBypass = bypass;
+            MinCacheConfig aware = plain;
+            aware.writeAware = true;
+            const MinCacheStats a = runMinCache(t, plain);
+            const MinCacheStats b = runMinCache(t, aware);
+            EXPECT_EQ(b.trafficBelow(), a.trafficBelow())
+                << size << " bypass " << bypass;
+            EXPECT_EQ(a.misses, b.misses) << size << " bypass " << bypass;
+            EXPECT_LE(b.writebackBytes, a.writebackBytes) << size;
+            moved |= b.flushWritebackBytes > a.flushWritebackBytes;
+        }
     }
+    EXPECT_TRUE(moved) << "no config deferred a write-back to the flush";
 }
 
 TEST(WriteAwareMin, PrefersCleanVictimAmongDeadBlocks)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -378,6 +379,109 @@ TEST(Resume, MinCacheConfigMismatchIsClassified)
     other.loadState(r);
     EXPECT_TRUE(r.failed());
     EXPECT_EQ(r.error().code, Errc::Mismatch);
+}
+
+/** An MTCS image for @p cfg over @p trace at @p cursor holding
+ * @p rows of (nextUse, addr, valid, dirty); counters are zero. */
+std::string
+mtcImage(const Trace &trace, const MinCacheConfig &cfg,
+         std::uint64_t cursor,
+         const std::vector<std::array<std::uint64_t, 4>> &rows)
+{
+    ChkWriter w;
+    w.beginSection(chkTag("MTCS"));
+    w.u64(cfg.size);
+    w.u64(cfg.blockBytes);
+    w.u8(static_cast<std::uint8_t>(cfg.alloc));
+    w.u8(cfg.allowBypass ? 1 : 0);
+    w.u8(cfg.writeAware ? 1 : 0);
+    w.u64(trace.size());
+    w.u64(cursor);
+    for (int i = 0; i < 10; ++i)
+        w.u64(0); // nine MinCacheStats counters + victim-scan pops
+    w.u64(rows.size());
+    for (const auto &row : rows)
+        for (const std::uint64_t v : row)
+            w.u64(v);
+    w.endSection();
+    return w.serialize();
+}
+
+TEST(Resume, MinCacheCheckpointRejectsRowsOutsideKeySpace)
+{
+    // A(0x100) L, B(0x104) S, A L, C(0x108) L.  At cursor 2, A is
+    // resident keyed on its next use (tick 2) and B is dead.
+    Trace trace;
+    trace.append(0x100, 4, RefKind::Load);
+    trace.append(0x104, 4, RefKind::Store);
+    trace.append(0x100, 4, RefKind::Load);
+    trace.append(0x108, 4, RefKind::Load);
+    const MinCacheConfig cfg = canonicalMtc(64);
+    const std::uint64_t inf = tickInfinity;
+
+    auto load = [&](std::uint64_t cursor,
+                    const std::vector<std::array<std::uint64_t, 4>> &rows) {
+        const std::string image = mtcImage(trace, cfg, cursor, rows);
+        auto opened = ChkReader::fromMemory(image.data(), image.size());
+        EXPECT_TRUE(opened.ok());
+        ChkReader r = std::move(opened.value());
+        MinCacheSim sim(trace, cfg);
+        sim.loadState(r);
+        return r.failed() ? r.error().code : Errc::Ok;
+    };
+
+    EXPECT_EQ(load(2, {{2, 0x100, 1, 0}, {inf, 0x104, 1, 1}}), Errc::Ok);
+    // Tick 2 references A, not B.
+    EXPECT_EQ(load(2, {{2, 0x104, 1, 0}}), Errc::Corrupt);
+    // 0x200 is no block of the trace.
+    EXPECT_EQ(load(2, {{inf, 0x200, 1, 0}}), Errc::Corrupt);
+    // Word blocks hold one valid and one dirty bit; dirty needs valid.
+    EXPECT_EQ(load(2, {{2, 0x100, 3, 0}}), Errc::Corrupt);
+    EXPECT_EQ(load(2, {{2, 0x100, 1, 2}}), Errc::Corrupt);
+    EXPECT_EQ(load(2, {{2, 0x100, 0, 1}}), Errc::Corrupt);
+    // C is still referenced at tick 3, so it cannot be dead yet; nor
+    // resident under tick 3, which no reference before the cursor
+    // issued; nor can B wait for tick 1, already past.
+    EXPECT_EQ(load(2, {{inf, 0x108, 1, 0}}), Errc::Corrupt);
+    EXPECT_EQ(load(2, {{3, 0x108, 1, 0}}), Errc::Corrupt);
+    EXPECT_EQ(load(2, {{1, 0x104, 1, 0}}), Errc::Corrupt);
+    // Tick 4 lies beyond the trace; A twice is one block twice.
+    EXPECT_EQ(load(2, {{4, 0x100, 1, 0}}), Errc::Corrupt);
+    EXPECT_EQ(load(2, {{2, 0x100, 1, 0}, {2, 0x100, 1, 0}}),
+              Errc::Corrupt);
+}
+
+TEST(Resume, MinCacheCheckpointKeepsTheRowImage)
+{
+    // saveState writes rows sorted by (nextUse, addr): resuming and
+    // saving again reproduces the image byte for byte, across block
+    // sizes and both write policies.
+    const Trace trace = mixedTrace(3000);
+    for (Bytes block : {4, 32, 256}) {
+        for (AllocPolicy alloc :
+             {AllocPolicy::WriteValidate, AllocPolicy::WriteAllocate}) {
+            MinCacheConfig cfg;
+            cfg.size = 16 * block;
+            cfg.blockBytes = block;
+            cfg.alloc = alloc;
+            MinCacheSim first(trace, cfg);
+            first.step(1234);
+            ChkWriter w;
+            first.saveState(w);
+            const std::string image = w.serialize();
+
+            MinCacheSim second(trace, cfg);
+            auto opened =
+                ChkReader::fromMemory(image.data(), image.size());
+            ASSERT_TRUE(opened.ok());
+            ChkReader r = std::move(opened.value());
+            second.loadState(r);
+            ASSERT_FALSE(r.failed()) << r.error().describe();
+            ChkWriter again;
+            second.saveState(again);
+            EXPECT_EQ(again.serialize(), image) << cfg.describe();
+        }
+    }
 }
 
 TEST(Resume, CoreResultRoundTrips)

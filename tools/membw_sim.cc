@@ -88,7 +88,7 @@ usage(int code)
         "  --size BYTES        e.g. 64K, 1M, 8192\n"
         "  --assoc N           0 = fully associative\n"
         "  --block BYTES\n"
-        "  --sector BYTES      sub-block transfer size (0 = off)\n"
+        "  --sector BYTES      sub-block transfer size (default: off)\n"
         "  --repl lru|fifo|random\n"
         "  --write wb|wt\n"
         "  --alloc wa|wna|wv\n"
