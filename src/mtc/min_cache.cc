@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <mutex>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -123,6 +124,83 @@ MinCacheSim::MinCacheSim(const Trace &trace, const MinCacheConfig &config,
                          NextUseTable nextUse)
     : trace_(trace), config_(config), nextUse_(std::move(nextUse))
 {
+    checkTable();
+    resetResident();
+}
+
+/**
+ * Cascade state of a level run.  A block held at one level is held at
+ * every larger one, so each resident block has a *home*, the smallest
+ * level holding it, and each level keeps a bitmap of the keys homed
+ * there.  A level that is not full holds every block seen so far, and
+ * once full it stays full, so the full levels are the first `full`.
+ */
+struct MinCacheSim::LevelState
+{
+    std::vector<MaxBitmap> homed; ///< per level: keys homed there
+    /** Per level: the highest key homed there (0 before any). */
+    std::vector<std::size_t> top;
+    /** Per key: its block's home level, or levels() if not held. */
+    std::vector<std::uint8_t> home;
+    /** Per key: its block is dirty at the levels that hold it from
+     * this one up; levels() if clean at every level. */
+    std::vector<std::uint8_t> dirty;
+    unsigned full = 0;
+    std::uint64_t seen = 0; ///< distinct blocks referenced so far
+
+    /** Per level L, levels() for a new block: loads and stores whose
+     * block was held from level L up, so they miss below L. */
+    std::vector<std::uint64_t> loadsFrom, storesFrom;
+
+    /** Per level: misses that bypassed it and its dirty evictions. */
+    struct Events
+    {
+        std::uint64_t bypassLoads = 0;
+        std::uint64_t bypassStores = 0;
+        Bytes bypassLoadBytes = 0;
+        Bytes bypassStoreBytes = 0;
+        std::uint64_t dirtyEvictions = 0;
+    };
+    std::vector<Events> events;
+    Bytes requestBytes = 0;
+
+    unsigned levels() const { return static_cast<unsigned>(top.size()); }
+};
+
+MinCacheSim::MinCacheSim(const Trace &trace, const MinCacheConfig &config,
+                         NextUseTable nextUse, unsigned levels)
+    : trace_(trace), config_(config), nextUse_(std::move(nextUse))
+{
+    checkTable();
+    if (config_.blockBytes != wordBytes || config_.writeAware)
+        fatal("an MTC level run needs word blocks and plain MIN");
+    // Capacities must fit 64 bits and level numbers a byte.
+    const unsigned maxLevels =
+        65 - static_cast<unsigned>(std::bit_width(capacity_));
+    if (levels == 0 || levels > maxLevels)
+        fatal("an MTC level run from " + std::to_string(capacity_) +
+              " blocks needs 1 to " + std::to_string(maxLevels) +
+              " levels");
+
+    levels_ = std::make_unique<LevelState>();
+    LevelState &ls = *levels_;
+    const std::size_t keys = nextUse_->keySpace();
+    ls.homed.resize(levels);
+    for (MaxBitmap &b : ls.homed)
+        b.init(keys);
+    ls.top.assign(levels, 0);
+    ls.home.assign(keys, static_cast<std::uint8_t>(levels));
+    ls.dirty.assign(keys, static_cast<std::uint8_t>(levels));
+    ls.loadsFrom.assign(levels + 1, 0);
+    ls.storesFrom.assign(levels + 1, 0);
+    ls.events.resize(levels);
+}
+
+MinCacheSim::~MinCacheSim() = default;
+
+void
+MinCacheSim::checkTable()
+{
     config_.validate();
     if (!nextUse_ || nextUse_->refs() != trace_.size())
         fatal("MTC shared next-use table does not match the trace");
@@ -137,7 +215,6 @@ MinCacheSim::MinCacheSim(const Trace &trace, const MinCacheConfig &config,
                     ? ~std::uint64_t{0}
                     : (std::uint64_t{1} << words_per_block) - 1;
     capacity_ = config_.blocks();
-    resetResident();
 }
 
 template <class F>
@@ -177,13 +254,13 @@ MinCacheSim::resetResident()
 void
 MinCacheSim::MaxBitmap::init(std::size_t bits)
 {
-    levels_.clear();
+    tiers_.clear();
     std::size_t total = 0;
     std::size_t words = (bits + 63) / 64;
     if (words == 0)
         words = 1;
     for (;;) {
-        levels_.push_back(total);
+        tiers_.push_back(total);
         total += words;
         if (words == 1)
             break;
@@ -195,9 +272,9 @@ MinCacheSim::MaxBitmap::init(std::size_t bits)
 void
 MinCacheSim::MaxBitmap::set(std::size_t i)
 {
-    // A level's word was already non-zero iff the levels above
+    // A tier's word was already non-zero iff the tiers above
     // already record it, so the walk stops there.
-    for (const std::size_t base : levels_) {
+    for (const std::size_t base : tiers_) {
         std::uint64_t &word = words_[base + (i >> 6)];
         const std::uint64_t old = word;
         word = old | std::uint64_t{1} << (i & 63);
@@ -210,7 +287,7 @@ MinCacheSim::MaxBitmap::set(std::size_t i)
 void
 MinCacheSim::MaxBitmap::clear(std::size_t i)
 {
-    for (const std::size_t base : levels_) {
+    for (const std::size_t base : tiers_) {
         std::uint64_t &word = words_[base + (i >> 6)];
         word &= ~(std::uint64_t{1} << (i & 63));
         if (word != 0)
@@ -222,11 +299,11 @@ MinCacheSim::MaxBitmap::clear(std::size_t i)
 bool
 MinCacheSim::MaxBitmap::findMax(std::size_t &out) const
 {
-    if (words_[levels_.back()] == 0)
+    if (words_[tiers_.back()] == 0)
         return false;
     std::size_t i = 0;
-    for (std::size_t l = levels_.size(); l-- > 0;) {
-        const std::uint64_t word = words_[levels_[l] + i];
+    for (std::size_t l = tiers_.size(); l-- > 0;) {
+        const std::uint64_t word = words_[tiers_[l] + i];
         i = (i << 6) +
             (63 - static_cast<std::size_t>(std::countl_zero(word)));
     }
@@ -238,7 +315,7 @@ template <class F>
 void
 MinCacheSim::MaxBitmap::forEach(F &&f) const
 {
-    const std::size_t leaves = levels_.size() > 1 ? levels_[1] : 1;
+    const std::size_t leaves = tiers_.size() > 1 ? tiers_[1] : 1;
     for (std::size_t w = 0; w < leaves; ++w)
         for (std::uint64_t word = words_[w]; word != 0;
              word &= word - 1)
@@ -374,11 +451,146 @@ MinCacheSim::stepKeys(State state, std::size_t end)
 }
 
 void
+MinCacheSim::stepLevels(std::size_t end)
+{
+    LevelState &ls = *levels_;
+    const std::size_t refs = trace_.size();
+    const MemRef *trace = trace_.data();
+    const VictimKey *keys = nextUse_->keys.data();
+    const bool bypass = config_.allowBypass;
+    MaxBitmap *homed = ls.homed.data();
+    std::size_t *top = ls.top.data();
+    std::uint8_t *home = ls.home.data();
+    std::uint8_t *dirty = ls.dirty.data();
+    LevelState::Events *events = ls.events.data();
+    const unsigned none = ls.levels();
+
+    // Evict the top of full level j, home @p x there in its place and
+    // return the evicted key, which is pushed on to level j + 1.
+    auto swapTop = [&](unsigned j, std::size_t x) {
+        const std::size_t z = top[j];
+        if (dirty[z] <= j)
+            events[j].dirtyEvictions++;
+        homed[j].clear(z);
+        homed[j].set(x);
+        home[x] = static_cast<std::uint8_t>(j);
+        homed[j].findMax(top[j]);
+        return z;
+    };
+
+    std::size_t i = cursor_;
+    for (; i < end; ++i) {
+        const MemRef &ref = trace[i];
+        if (alignDown(ref.addr + ref.size - 1, wordBytes) !=
+            alignDown(ref.addr, wordBytes)) {
+            cursor_ = i;
+            stats_ = levelStats(0, config_.alloc);
+            fatal("MTC reference spans a block boundary");
+        }
+        const std::size_t key = keys[i];
+        const bool load = ref.isLoad();
+        ls.requestBytes += ref.size;
+
+        // Levels from `held` up hold the block under key i and hit; a
+        // new block is held nowhere.  Key i is below every other
+        // resident key, so clearing it leaves top[held] right unless
+        // it was alone there, and the block lands back at `held`
+        // below under a larger key, which restores it.
+        const unsigned held = home[i];
+        (load ? ls.loadsFrom : ls.storesFrom)[held]++;
+        if (held != none) {
+            homed[held].clear(i);
+            home[i] = static_cast<std::uint8_t>(none);
+        }
+
+        // The levels below `held` miss.  Those below `full` are full:
+        // the incoming block bypasses each whose top is a finite next
+        // use nearer than its own, then enters the next one, and the
+        // key it evicts there is pushed down, leaving each further
+        // full level whose top it exceeds and swapping with the top
+        // of the first it does not.  A level that is not full, or the
+        // hit level, takes whatever is pushed.
+        const unsigned stop = std::min(held, ls.full);
+        unsigned j = 0;
+        if (bypass) {
+            for (; j < stop && top[j] < refs && key > top[j]; ++j) {
+                LevelState::Events &e = events[j];
+                if (load) {
+                    e.bypassLoads++;
+                    e.bypassLoadBytes += ref.size;
+                } else {
+                    e.bypassStores++;
+                    e.bypassStoreBytes += ref.size;
+                }
+            }
+        }
+        std::size_t x = key;
+        if (j < stop) {
+            for (x = swapTop(j++, key); j < stop; ++j) {
+                if (x < top[j])
+                    x = swapTop(j, x);
+                else if (dirty[x] <= j)
+                    events[j].dirtyEvictions++;
+            }
+        }
+        homed[j].set(x);
+        home[x] = static_cast<std::uint8_t>(j);
+        top[j] = std::max(top[j], x);
+
+        if (held == none)
+            for (++ls.seen; ls.full < none &&
+                            std::uint64_t{capacity_} << ls.full <= ls.seen;)
+                ++ls.full;
+        // A store dirties the block wherever it is held.  A load
+        // keeps the dirtiness of the levels it hit; below them the
+        // block was fetched clean.
+        dirty[key] = load ? std::max<std::uint8_t>(
+                                dirty[i], static_cast<std::uint8_t>(held))
+                          : 0;
+    }
+    cursor_ = i;
+    stats_ = levelStats(0, config_.alloc);
+}
+
+MinCacheStats
+MinCacheSim::levelStats(unsigned level, AllocPolicy alloc) const
+{
+    const LevelState &ls = *levels_;
+    MinCacheStats s;
+    std::uint64_t loadMisses = 0, storeMisses = 0;
+    for (unsigned l = 0; l <= ls.levels(); ++l) {
+        s.accesses += ls.loadsFrom[l] + ls.storesFrom[l];
+        if (l > level) {
+            loadMisses += ls.loadsFrom[l];
+            storeMisses += ls.storesFrom[l];
+        }
+    }
+    const LevelState::Events &e = ls.events[level];
+    s.misses = loadMisses + storeMisses;
+    s.hits = s.accesses - s.misses;
+    s.bypasses = e.bypassLoads + e.bypassStores;
+    s.requestBytes = ls.requestBytes;
+    s.fetchBytes =
+        (loadMisses - e.bypassLoads) * wordBytes + e.bypassLoadBytes;
+    const std::uint64_t storesCached = storeMisses - e.bypassStores;
+    if (alloc == AllocPolicy::WriteAllocate)
+        s.fetchBytes += storesCached * wordBytes;
+    else
+        s.validates = storesCached;
+    s.writebackBytes = e.dirtyEvictions * wordBytes + e.bypassStoreBytes;
+    return s;
+}
+
+void
 MinCacheSim::step(std::size_t n)
 {
     MEMBW_SPAN("mtc.step");
     const std::size_t end =
         cursor_ + std::min(n, trace_.size() - cursor_);
+    if (levels_) {
+        stepLevels(end);
+        return;
+    }
     visitState([&](auto state) { stepKeys(state, end); });
     tracingCounter("mtc.victim_scan_pops",
                    static_cast<double>(victimScanPops_));
@@ -387,6 +599,13 @@ MinCacheSim::step(std::size_t n)
 MinCacheStats
 MinCacheSim::finalize() const
 {
+    if (levels_) {
+        const MinLevelResults all = finalizeLevels();
+        return (config_.alloc == AllocPolicy::WriteAllocate
+                    ? all.writeAllocate
+                    : all.writeValidate)
+            .front();
+    }
     // Program completion: flush all dirty data (Section 4.1).
     MinCacheStats stats = stats_;
     visitState([&](auto state) {
@@ -397,6 +616,40 @@ MinCacheSim::finalize() const
     return stats;
 }
 
+MinLevelResults
+MinCacheSim::finalizeLevels() const
+{
+    if (!levels_)
+        fatal("finalizeLevels() needs an MTC level run");
+    const LevelState &ls = *levels_;
+    const unsigned levels = ls.levels();
+
+    // A block is flushed dirty at every level that holds it and where
+    // it is dirty: from the larger of its home and dirty levels up.
+    std::vector<std::uint64_t> flushFrom(levels + 1, 0);
+    for (std::size_t k = 0; k < ls.home.size(); ++k)
+        if (ls.home[k] != levels)
+            flushFrom[std::max(ls.home[k], ls.dirty[k])]++;
+
+    MinLevelResults out;
+    out.firstBlocks = capacity_;
+    out.distinctBlocks = nextUse_->deadAddrs.size();
+    out.allowBypass = config_.allowBypass;
+    std::uint64_t flushed = 0;
+    for (unsigned j = 0; j < levels; ++j) {
+        flushed += flushFrom[j];
+        for (const AllocPolicy alloc :
+             {AllocPolicy::WriteAllocate, AllocPolicy::WriteValidate}) {
+            MinCacheStats s = levelStats(j, alloc);
+            s.flushWritebackBytes = flushed * wordBytes;
+            (alloc == AllocPolicy::WriteAllocate ? out.writeAllocate
+                                                  : out.writeValidate)
+                .push_back(s);
+        }
+    }
+    return out;
+}
+
 MinCacheStats
 MinCacheSim::run()
 {
@@ -404,9 +657,30 @@ MinCacheSim::run()
     return finalize();
 }
 
+const MinCacheStats *
+MinLevelResults::find(const MinCacheConfig &config) const
+{
+    if (config.blockBytes != wordBytes || config.writeAware ||
+        config.allowBypass != allowBypass)
+        return nullptr;
+    const std::vector<MinCacheStats> &column =
+        config.alloc == AllocPolicy::WriteAllocate ? writeAllocate
+                                                   : writeValidate;
+    const std::uint64_t blocks = config.blocks();
+    if (blocks >= distinctBlocks)
+        return &column.back();
+    if (blocks % firstBlocks != 0 || !isPowerOfTwo(blocks / firstBlocks))
+        return nullptr;
+    const auto level =
+        static_cast<std::size_t>(std::countr_zero(blocks / firstBlocks));
+    return level < column.size() ? &column[level] : nullptr;
+}
+
 void
 MinCacheSim::saveState(ChkWriter &w) const
 {
+    if (levels_)
+        fatal("an MTC level run does not checkpoint");
     w.beginSection(chkTag("MTCS"));
 
     // Identity guard: the checkpoint only restores over the same
@@ -454,6 +728,8 @@ MinCacheSim::saveState(ChkWriter &w) const
 void
 MinCacheSim::loadState(ChkReader &r)
 {
+    if (levels_)
+        fatal("an MTC level run does not checkpoint");
     r.enterSection(chkTag("MTCS"));
 
     const std::uint64_t size = r.u64();
@@ -578,6 +854,35 @@ MinCacheStats
 runMinCache(const Trace &trace, const MinCacheConfig &config,
             NextUseTable nextUse)
 {
+    if (nextUse && nextUse->refs() == trace.size() &&
+        nextUse->blockBytes == wordBytes &&
+        config.blockBytes == wordBytes && !config.writeAware) {
+        config.validate();
+        std::shared_ptr<const MinLevelResults> pass;
+        {
+            std::lock_guard<std::mutex> lock(nextUse->levelMutex);
+            if (!nextUse->levelResults) {
+                // Levels double from this query's capacity up to the
+                // first that holds every distinct block.
+                unsigned levels = 1;
+                while ((std::uint64_t{config.blocks()} << (levels - 1)) <
+                       nextUse->deadAddrs.size())
+                    ++levels;
+                MEMBW_SPAN_D("mtc.level_pass",
+                             "first=" + formatSize(config.size) +
+                                 " levels=" + std::to_string(levels) +
+                                 " refs=" + std::to_string(trace.size()));
+                MinCacheSim sim(trace, config, nextUse, levels);
+                sim.step(trace.size());
+                nextUse->levelResults =
+                    std::make_shared<const MinLevelResults>(
+                        sim.finalizeLevels());
+            }
+            pass = nextUse->levelResults;
+        }
+        if (const MinCacheStats *stats = pass->find(config))
+            return *stats;
+    }
     return MinCacheSim(trace, config, std::move(nextUse)).run();
 }
 

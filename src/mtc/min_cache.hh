@@ -18,6 +18,7 @@
 #define MEMBW_MTC_MIN_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cache/config.hh"
@@ -93,19 +94,61 @@ struct MinCacheStats
 };
 
 /**
+ * Per-level stats of one multi-level MIN pass (see MinCacheSim's
+ * level constructor): level j holds firstBlocks << j blocks, and the
+ * last level is the first at or above the trace's distinct-block
+ * count.  Both write-miss policies come from the same pass.
+ */
+struct MinLevelResults
+{
+    std::uint64_t firstBlocks = 0;
+    std::uint64_t distinctBlocks = 0;
+    bool allowBypass = true;
+    std::vector<MinCacheStats> writeAllocate;
+    std::vector<MinCacheStats> writeValidate;
+
+    /**
+     * The stats of a word-block, plain-MIN @p config, or null when
+     * the pass does not answer it: another bypass setting, or a
+     * capacity neither on the grid nor at or above distinctBlocks
+     * (every such capacity never evicts, so the last level answers).
+     */
+    const MinCacheStats *find(const MinCacheConfig &config) const;
+
+    /** Resident bytes (artifact-cache accounting). */
+    std::size_t
+    bytes() const
+    {
+        return sizeof(*this) + (writeAllocate.size() +
+                                writeValidate.size()) *
+                                   sizeof(MinCacheStats);
+    }
+};
+
+/**
  * Two-pass MIN simulation over a whole trace.
  *
  * The constructor runs pass one (next-use table); run() performs the
  * stack simulation.  Victim choice follows Belady's MIN [3]: evict
  * the resident block referenced furthest in the future.  With
- * bypassing enabled, a miss whose own next use lies beyond every
- * resident block's next use is never cached (Section 5.2, footnote 2).
+ * bypassing enabled (Section 5.2, footnote 2), a miss in a full cache
+ * bypasses it exactly when no resident block is dead (never used
+ * again) and the missing block's victim key exceeds every resident
+ * key.  So a missing block that is dead ranks above every finite
+ * next use but below every resident dead block: it bypasses unless a
+ * dead block is resident, and that block is evicted instead.
+ *
+ * One run answers one capacity, or a grid of them (a *level run*):
+ * MIN with this bypass rule is a stack algorithm, so the blocks held
+ * at one capacity are a subset of those held at twice it, and one
+ * pass over the trace cascades each miss down the levels (Mattson et
+ * al. 1970; Sugumar and Abraham 1993).
  *
  * The simulation is resumable: step() advances by a bounded number of
  * references and saveState()/loadState() checkpoint the resident set
- * and counters.  The next-use side table is rebuilt deterministically
- * by the constructor, so checkpoints stay proportional to the cache,
- * not the trace.
+ * and counters of a one-level run.  The next-use side table is
+ * rebuilt deterministically by the constructor, so checkpoints stay
+ * proportional to the cache, not the trace.
  */
 class MinCacheSim
 {
@@ -121,6 +164,20 @@ class MinCacheSim
      */
     MinCacheSim(const Trace &trace, const MinCacheConfig &config,
                 NextUseTable nextUse);
+
+    /**
+     * A level run: level j holds config.blocks() << j blocks, for j
+     * below @p levels.  Each reference is stepped once, its miss
+     * pushed down the levels until it lands.  Word blocks and plain
+     * MIN only (fatal otherwise); both write-miss policies are
+     * answered, config.alloc only picks what finalize() and stats()
+     * report.  A level run does not checkpoint, probe or count
+     * victim-scan pops.
+     */
+    MinCacheSim(const Trace &trace, const MinCacheConfig &config,
+                NextUseTable nextUse, unsigned levels);
+
+    ~MinCacheSim();
 
     /** Simulate the full trace, including the final dirty flush. */
     MinCacheStats run();
@@ -141,8 +198,13 @@ class MinCacheSim
      */
     MinCacheStats finalize() const;
 
+    /** Stats of every level of a level run (fatal on a one-level
+     * run), with the end-of-run flush. */
+    MinLevelResults finalizeLevels() const;
+
     /** Raw counters without the flush estimate — monotonic, so
-     * interval samplers can diff successive snapshots safely. */
+     * interval samplers can diff successive snapshots safely.  A
+     * level run reports its first level. */
     const MinCacheStats &stats() const { return stats_; }
 
     /** Cumulative victim-scan pops of never-used-again keys. */
@@ -151,20 +213,22 @@ class MinCacheSim
     /** Attach @p probe (null to detach) reporting victim-scan work. */
     void setProbe(MemProbe *probe) { probe_ = probe; }
 
-    /** Serialize cursor, counters, and resident set ("MTCS"). */
+    /** Serialize cursor, counters, and resident set ("MTCS").  Fatal
+     * on a level run. */
     void saveState(ChkWriter &w) const;
 
     /**
      * Restore state written by saveState() for the same trace and
-     * config; mismatches latch a classified error on @p r.
+     * config; mismatches latch a classified error on @p r.  Fatal
+     * on a level run.
      */
     void loadState(ChkReader &r);
 
   private:
     /**
      * Hierarchical bitmap over victim keys: set, clear and test touch
-     * one word per level at most, and find-max scans one word per
-     * level.  All levels live in one array, leaf level first.
+     * one word per tier at most, and find-max scans one word per
+     * tier.  All tiers live in one array, leaf tier first.
      */
     class MaxBitmap
     {
@@ -184,11 +248,16 @@ class MinCacheSim
 
       private:
         std::vector<std::uint64_t> words_;
-        /** Start of each level in words_; the last level is one word. */
-        std::vector<std::size_t> levels_;
+        /** Start of each tier in words_; the last tier is one word. */
+        std::vector<std::size_t> tiers_;
     };
 
+    struct LevelState;
+
+    void checkTable();
     template <class State> void stepKeys(State state, std::size_t end);
+    void stepLevels(std::size_t end);
+    MinCacheStats levelStats(unsigned level, AllocPolicy alloc) const;
     template <class F> void visitState(F &&f) const;
     Bytes writebackSize(std::uint64_t dirtyMask) const;
     void resetResident();
@@ -233,6 +302,10 @@ class MinCacheSim
      */
     std::vector<std::uint64_t> keyState_;
 
+    /** Cascade state of a level run; null for a one-level run, whose
+     * resident_ and keyState_ are then unused. */
+    std::unique_ptr<LevelState> levels_;
+
     std::size_t cursor_ = 0;
 };
 
@@ -240,7 +313,13 @@ class MinCacheSim
 MinCacheStats runMinCache(const Trace &trace,
                           const MinCacheConfig &config);
 
-/** Like runMinCache(), reusing a shared next-use table. */
+/**
+ * Like runMinCache(), reusing a shared next-use table.  The table
+ * also memoises one level run: the first query with word blocks and
+ * plain MIN runs it from its own capacity under the table's lock, and
+ * every later query that the run answers (MinLevelResults::find())
+ * reads its stats.  Any other query runs its own one-level cell.
+ */
 MinCacheStats runMinCache(const Trace &trace,
                           const MinCacheConfig &config,
                           NextUseTable nextUse);

@@ -8,9 +8,19 @@
 
 #include "common/bitops.hh"
 #include "common/log.hh"
+#include "mtc/min_cache.hh"
 #include "obs/trace_span.hh"
 
 namespace membw {
+
+std::size_t
+NextUseKeys::bytes() const
+{
+    std::lock_guard<std::mutex> lock(levelMutex);
+    return keys.size() * sizeof(VictimKey) +
+           deadAddrs.size() * sizeof(Addr) +
+           (levelResults ? levelResults->bytes() : 0);
+}
 
 NextUseTable
 makeNextUseTable(const Trace &trace, Bytes blockBytes)

@@ -17,12 +17,15 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/types.hh"
 #include "trace/trace.hh"
 
 namespace membw {
+
+struct MinLevelResults;
 
 /** One victim key; see NextUseKeys. */
 using VictimKey = std::uint32_t;
@@ -49,13 +52,17 @@ struct NextUseKeys
     /** Number of distinct keys: refs() + deadAddrs.size(). */
     std::size_t keySpace() const { return keys.size() + deadAddrs.size(); }
 
-    /** Resident bytes of the two arrays (artifact-cache accounting). */
-    std::size_t
-    bytes() const
-    {
-        return keys.size() * sizeof(VictimKey) +
-               deadAddrs.size() * sizeof(Addr);
-    }
+    /**
+     * The MIN level run memoised over these keys (see runMinCache()),
+     * or null before the first query that runs it.  Guarded by
+     * levelMutex; the keys themselves never change once built.
+     */
+    mutable std::shared_ptr<const MinLevelResults> levelResults;
+    mutable std::mutex levelMutex;
+
+    /** Resident bytes of the two arrays and of the memoised level
+     * results (artifact-cache accounting). */
+    std::size_t bytes() const;
 };
 
 /**
@@ -63,7 +70,8 @@ struct NextUseKeys
  * same (trace, block granularity) pair needs the same table; build it
  * once with makeNextUseTable() and hand the same handle to each
  * MinCacheSim so pass one runs once per sweep instead of once per
- * cell.
+ * cell.  At word granularity it also carries the one MIN level run
+ * that answers the sweep's canonical MTC cells.
  */
 using NextUseTable = std::shared_ptr<const NextUseKeys>;
 

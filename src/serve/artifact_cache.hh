@@ -11,6 +11,9 @@
  * while a request still computes over it — the bytes stay alive
  * until the last reader drops its reference.
  *
+ * A next-use table also memoises its MIN level run once a sweep has
+ * queried it; the owner re-costs such an entry with recost().
+ *
  * Eviction is size-bounded LRU over the caller-estimated byte cost.
  * Counters (hits, misses, evictions, bytes resident) feed the
  * daemon's `stats` op and the stats-registry export.
@@ -72,6 +75,14 @@ class ArtifactCache
         return ptr;
     }
 
+    /**
+     * Set the byte cost of the entry under @p key to @p bytes, for an
+     * artifact that grew after it was cached, evicting least recently
+     * used entries (it included) while over the bound.  No-op when
+     * the key is no longer cached.
+     */
+    void recost(const std::string &key, std::size_t bytes);
+
     std::uint64_t hits() const { return counter(hits_); }
     std::uint64_t misses() const { return counter(misses_); }
     std::uint64_t evictions() const { return counter(evictions_); }
@@ -101,6 +112,10 @@ class ArtifactCache
 
     void insert(const std::string &key, std::shared_ptr<const void> ptr,
                 std::size_t bytes);
+
+    /** Evict least recently used entries until @p incoming more
+     * bytes fit the bound. */
+    void evictFor(std::size_t incoming);
 
     std::uint64_t
     counter(const std::uint64_t &c) const

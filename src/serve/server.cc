@@ -365,20 +365,25 @@ ServeServer::computeSweep(const SweepRequest &req,
                         std::move(profile), bytes};
                 });
         };
-    eopts.nextUseProvider = [this, served, crc] {
-        const std::string key = "nextuse|" + crc + "|" +
-                                std::to_string(wordBytes);
-        return artifacts_.getOrBuild<NextUseKeys>(key, [&] {
+    const std::string nextUseKey =
+        "nextuse|" + crc + "|" + std::to_string(wordBytes);
+    NextUseTable nextUse;
+    eopts.nextUseProvider = [this, served, &nextUseKey, &nextUse] {
+        nextUse = artifacts_.getOrBuild<NextUseKeys>(nextUseKey, [&] {
             NextUseTable table =
                 makeNextUseTable(served->trace, wordBytes);
             const std::size_t bytes = table->bytes();
             return ArtifactCache::Built<NextUseKeys>{std::move(table),
                                                      bytes};
         });
+        return nextUse;
     };
 
     SweepOutcome outcome =
         executeSweep(req, served->trace, eopts);
+    // The sweep's MTC cells may have memoised a level run in the table.
+    if (nextUse)
+        artifacts_.recost(nextUseKey, nextUse->bytes());
     const std::string body =
         renderSweepStatsJson(req, served->trace.size(), outcome);
     const int exitCode = outcome.degraded ? exitDegraded : exitOk;

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -329,6 +331,124 @@ struct ReferenceMin
     }
 };
 
+void
+expectSameStats(const MinCacheStats &got, const MinCacheStats &want,
+                const std::string &what)
+{
+    EXPECT_EQ(got.accesses, want.accesses) << what;
+    EXPECT_EQ(got.hits, want.hits) << what;
+    EXPECT_EQ(got.misses, want.misses) << what;
+    EXPECT_EQ(got.bypasses, want.bypasses) << what;
+    EXPECT_EQ(got.validates, want.validates) << what;
+    EXPECT_EQ(got.requestBytes, want.requestBytes) << what;
+    EXPECT_EQ(got.fetchBytes, want.fetchBytes) << what;
+    EXPECT_EQ(got.writebackBytes, want.writebackBytes) << what;
+    EXPECT_EQ(got.flushWritebackBytes, want.flushWritebackBytes) << what;
+}
+
+/**
+ * Level runs over word trace @p t: for first capacities of 1, 3 and
+ * 16 blocks, bypass on and off, every level under both policies
+ * equals the reference MIN and a one-level run, whether the level run
+ * is stepped in random slices or memoised by a shared table, and a
+ * shared table answers capacities off its grid (below the first, an
+ * odd multiple of it, above the distinct blocks) like the reference.
+ */
+void
+checkLevelRuns(const Trace &t, Rng &rng, const std::string &round)
+{
+    const NextUseTable table = makeNextUseTable(t, wordBytes);
+    auto config = [](std::uint64_t blocks, bool bypass,
+                     AllocPolicy alloc) {
+        MinCacheConfig c = canonicalMtc(blocks * wordBytes);
+        c.allowBypass = bypass;
+        c.alloc = alloc;
+        return c;
+    };
+    for (const unsigned first : {1u, 3u, 16u}) {
+        for (const bool bypass : {false, true}) {
+            const std::string what =
+                round + " first " + std::to_string(first) +
+                (bypass ? " bypass" : " no bypass");
+            // The first query through a fresh table runs the level
+            // run from its own capacity.
+            const NextUseTable shared = makeNextUseTable(t, wordBytes);
+            const AllocPolicy firstAlloc = first == 3
+                                               ? AllocPolicy::WriteAllocate
+                                               : AllocPolicy::WriteValidate;
+            runMinCache(t, config(first, bypass, firstAlloc), shared);
+            ASSERT_TRUE(shared->levelResults) << what;
+            const MinLevelResults pass = *shared->levelResults;
+            const std::size_t levels = pass.writeValidate.size();
+            ASSERT_EQ(pass.writeAllocate.size(), levels) << what;
+            EXPECT_EQ(pass.firstBlocks, first) << what;
+            EXPECT_EQ(pass.distinctBlocks, table->deadAddrs.size()) << what;
+            EXPECT_GE(std::uint64_t{first} << (levels - 1),
+                      pass.distinctBlocks)
+                << what;
+            if (levels > 1) {
+                EXPECT_LT(std::uint64_t{first} << (levels - 2),
+                          pass.distinctBlocks)
+                    << what;
+            }
+
+            MinCacheSim sliced(t, config(first, bypass, firstAlloc),
+                               table, static_cast<unsigned>(levels));
+            while (!sliced.done())
+                sliced.step(1 + rng.below(400));
+            const MinLevelResults steps = sliced.finalizeLevels();
+
+            for (std::size_t j = 0; j < levels; ++j) {
+                for (const AllocPolicy alloc :
+                     {AllocPolicy::WriteAllocate,
+                      AllocPolicy::WriteValidate}) {
+                    const bool wa = alloc == AllocPolicy::WriteAllocate;
+                    const MinCacheConfig c =
+                        config(std::uint64_t{first} << j, bypass, alloc);
+                    const std::string at = what + " level " +
+                                           std::to_string(j) + " " +
+                                           c.describe();
+                    const MinCacheStats &got =
+                        (wa ? pass.writeAllocate : pass.writeValidate)[j];
+                    expectSameStats(got, ReferenceMin(t, c).stats, at);
+                    expectSameStats(got, MinCacheSim(t, c, table).run(),
+                                    at + " one-level");
+                    expectSameStats(
+                        (wa ? steps.writeAllocate : steps.writeValidate)[j],
+                        got, at + " sliced");
+                    ASSERT_NE(pass.find(c), nullptr) << at;
+                    expectSameStats(runMinCache(t, c, shared), got,
+                                    at + " shared");
+                }
+            }
+
+            // Off the grid: the shared table falls back to a cell of
+            // the query's own, or answers from the last level.
+            std::vector<std::uint64_t> off{3 * std::uint64_t{first},
+                                           pass.distinctBlocks + 5};
+            if (first > 1)
+                off.push_back(first - 1);
+            for (const std::uint64_t blocks : off) {
+                const MinCacheConfig c =
+                    config(blocks, bypass, AllocPolicy::WriteValidate);
+                const std::string at = what + " off-grid " + c.describe();
+                EXPECT_EQ(pass.find(c) != nullptr,
+                          blocks >= pass.distinctBlocks)
+                    << at;
+                expectSameStats(runMinCache(t, c, shared),
+                                ReferenceMin(t, c).stats, at);
+            }
+            // Another bypass setting never reads the run.
+            const MinCacheConfig other =
+                config(first, !bypass, AllocPolicy::WriteValidate);
+            EXPECT_EQ(pass.find(other), nullptr) << what;
+            expectSameStats(runMinCache(t, other, shared),
+                            ReferenceMin(t, other).stats,
+                            what + " other bypass");
+        }
+    }
+}
+
 TEST(MinCache, MatchesReferenceMinOnRandomizedGrid)
 {
     Rng rng(2024);
@@ -386,24 +506,68 @@ TEST(MinCache, MatchesReferenceMinOnRandomizedGrid)
                         << what << ": " << r.error().describe();
                     while (!sim.done())
                         sim.step(1 + rng.below(400));
-                    const MinCacheStats got = sim.finalize();
-                    const MinCacheStats &want = ref.stats;
-                    EXPECT_EQ(got.accesses, want.accesses) << what;
-                    EXPECT_EQ(got.hits, want.hits) << what;
-                    EXPECT_EQ(got.misses, want.misses) << what;
-                    EXPECT_EQ(got.bypasses, want.bypasses) << what;
-                    EXPECT_EQ(got.validates, want.validates) << what;
-                    EXPECT_EQ(got.requestBytes, want.requestBytes) << what;
-                    EXPECT_EQ(got.fetchBytes, want.fetchBytes) << what;
-                    EXPECT_EQ(got.writebackBytes, want.writebackBytes)
-                        << what;
-                    EXPECT_EQ(got.flushWritebackBytes,
-                              want.flushWritebackBytes)
-                        << what;
+                    expectSameStats(sim.finalize(), ref.stats, what);
                     EXPECT_EQ(sim.victimScanPops(), ref.pops) << what;
                 }
             }
         }
+        if (round % 2 == 0)
+            checkLevelRuns(t, rng, "round " + std::to_string(round));
+    }
+}
+
+TEST(MinCache, SharedTableAnswersConcurrentFirstQueries)
+{
+    // Four threads make the first queries on one table at once, each
+    // over the canonical sizes in its own order, plus one off-grid
+    // size; whichever query runs the level run, every answer must
+    // equal a one-level run of its own.
+    Rng rng(1996);
+    Trace t;
+    for (std::size_t i = 0; i < 20000; ++i)
+        t.append(rng.chance(0.8) ? rng.below(512) * 4
+                                 : 0x40000 + rng.below(8192) * 4,
+                 4, rng.chance(0.3) ? RefKind::Store : RefKind::Load);
+    std::vector<MinCacheConfig> cells;
+    for (const Bytes size : {256, 1024, 4096, 16384, 3072}) {
+        cells.push_back(canonicalMtc(size));
+        cells.back().alloc = AllocPolicy::WriteAllocate;
+        cells.push_back(canonicalMtc(size));
+    }
+
+    const NextUseTable shared = makeNextUseTable(t, wordBytes);
+    const std::size_t keyBytes = shared->bytes();
+    constexpr int threads = 4;
+    std::vector<std::vector<MinCacheStats>> got(
+        threads, std::vector<MinCacheStats>(cells.size()));
+    std::atomic<int> ready{0};
+    std::vector<std::thread> pool;
+    for (int k = 0; k < threads; ++k)
+        pool.emplace_back([&, k] {
+            ready.fetch_add(1);
+            while (ready.load() < threads)
+                std::this_thread::yield();
+            for (std::size_t n = 0; n < cells.size(); ++n) {
+                const std::size_t rotated =
+                    (n + 3 * static_cast<std::size_t>(k)) % cells.size();
+                const std::size_t c =
+                    k % 2 ? cells.size() - 1 - rotated : rotated;
+                got[k][c] = runMinCache(t, cells[c], shared);
+            }
+        });
+    for (std::thread &th : pool)
+        th.join();
+
+    ASSERT_TRUE(shared->levelResults);
+    // The memoised run counts towards the table's resident bytes.
+    EXPECT_EQ(shared->bytes(), keyBytes + shared->levelResults->bytes());
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        const MinCacheStats want =
+            MinCacheSim(t, cells[c], makeNextUseTable(t, wordBytes)).run();
+        for (int k = 0; k < threads; ++k)
+            expectSameStats(got[k][c], want,
+                            cells[c].describe() + " thread " +
+                                std::to_string(k));
     }
 }
 

@@ -12,6 +12,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -591,6 +592,41 @@ TEST(FuzzCorpus, EveryFileParsesOrFailsClassified)
     EXPECT_GT(files, 5u);
     EXPECT_GT(rejected, 0u);
     EXPECT_LT(rejected, files);
+}
+
+TEST(FuzzCorpus, CheckpointSeedsRestoreOrFailClassified)
+{
+    // Every .chk seed goes through ChkReader and MinCacheSim's
+    // loadState over the checkpoint_fuzz target's trace and MTC, as
+    // the fuzz replay does, so the default build replays them too.
+    namespace fs = std::filesystem;
+    Trace trace;
+    trace.append(0x100, 4, RefKind::Load);
+    trace.append(0x104, 4, RefKind::Store);
+    std::map<std::string, Errc> outcome;
+    for (const auto &entry : fs::directory_iterator(MEMBW_CORPUS_DIR)) {
+        if (!entry.is_regular_file() || entry.path().extension() != ".chk")
+            continue;
+        const std::string name = entry.path().filename().string();
+        auto opened = ChkReader::fromFile(entry.path().string());
+        if (!opened.ok()) {
+            EXPECT_NE(opened.error().code, Errc::Ok) << name;
+            outcome[name] = opened.error().code;
+            continue;
+        }
+        ChkReader r = std::move(opened.value());
+        MinCacheSim sim(trace, canonicalMtc(1_KiB));
+        sim.loadState(r);
+        const Errc code = r.failed() ? r.error().code : Errc::Ok;
+        if (r.failed()) {
+            EXPECT_NE(code, Errc::Ok) << name;
+        }
+        outcome[name] = code;
+    }
+    ASSERT_EQ(outcome.count("mtcs_valid.chk"), 1u);
+    EXPECT_EQ(outcome["mtcs_valid.chk"], Errc::Ok);
+    ASSERT_EQ(outcome.count("mtcs_addr_mismatch.chk"), 1u);
+    EXPECT_EQ(outcome["mtcs_addr_mismatch.chk"], Errc::Corrupt);
 }
 #endif
 

@@ -130,6 +130,22 @@ TEST(ArtifactCache, OversizeArtifactReturnedUncached)
     EXPECT_EQ(cache.bytesResident(), 0u);
 }
 
+TEST(ArtifactCache, RecostTracksGrowthAndEvictsOverTheBound)
+{
+    ArtifactCache cache(10);
+    cache.getOrBuild<std::string>("a", [] { return builtString("aaa"); });
+    cache.getOrBuild<std::string>("b", [] { return builtString("bbb"); });
+    cache.recost("b", 5); // grew in place, still fits
+    EXPECT_EQ(cache.bytesResident(), 8u);
+    EXPECT_EQ(cache.evictions(), 0u);
+    cache.recost("b", 9); // over the bound: "a" (LRU) goes first
+    EXPECT_EQ(cache.bytesResident(), 9u);
+    EXPECT_EQ(cache.evictions(), 1u);
+    EXPECT_EQ(cache.entries(), 1u);
+    cache.recost("gone", 100); // no longer cached: nothing changes
+    EXPECT_EQ(cache.bytesResident(), 9u);
+}
+
 TEST(ResultCache, BoundedLruWithCounters)
 {
     ResultCache cache(20, "");

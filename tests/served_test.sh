@@ -5,7 +5,9 @@
 #     must byte-match fresh membw_sim/membw_decompose --stats-json
 #     output — cold (computed) and warm (result-cache hit), at
 #     --jobs 1 and --jobs 4 — and so must variants that differ from a
-#     cached request in one field (--mshrs, --stream-buffers).
+#     cached request in one field (--mshrs, --stream-buffers), and a
+#     second MTC sweep over the cached trace with sizes on and off the
+#     memoised MIN level run's grid.
 #  2. Stats counters: the warm repeat shows up as a result-cache hit.
 #  3. Shutdown: the `shutdown` op stops the daemon (exit 0, socket
 #     unlinked); SIGTERM mid-request drains and answers first
@@ -77,6 +79,14 @@ DEC_ARGS="--workload Swm --experiment F --scale 0.05 --stable-json"
 # shellcheck disable=SC2086
 "$DECOMPOSE" $DEC_ARGS --mshrs 1 --stats-json "$WORK/dec_mshrs_fresh.json" \
     > /dev/null 2>&1 || fail "fresh membw_decompose --mshrs 1 failed"
+# A second MTC sweep over the same cached trace: 2K and 16K lie on the
+# doubling grid of the MIN level run the base sweep memoised in the
+# shared next-use table, 3K does not and runs a cell of its own (fully
+# associative, since 3K has no power-of-two set count at 4 ways).
+"$SIM" --workload Compress --scale 0.03 --sweep-sizes 2K,3K,16K \
+    --sweep-blocks 32 --assoc 0 --mtc --stable-json \
+    --stats-json "$WORK/sweep_grid_fresh.json" > /dev/null 2>&1 ||
+    fail "fresh membw_sim 2K,3K,16K sweep failed"
 
 # --- 1+2. byte-identity cold/warm at --jobs 1 and --jobs 4 --------------
 for jobs in 1 4; do
@@ -113,6 +123,12 @@ for jobs in 1 4; do
         fail "served decompose --mshrs 1 failed (--jobs $jobs)"
     cmp -s "$WORK/dec_mshrs_fresh.json" "$WORK/dec_mshrs.json" ||
         fail "served decompose --mshrs 1 diverged from fresh (--jobs $jobs)"
+    "$CLIENT" sweep --socket "$SOCK" --workload Compress --scale 0.03 \
+        --sizes 2K,3K,16K --blocks 32 --assoc 0 --mtc --stable-json \
+        --out "$WORK/sweep_grid.json" ||
+        fail "served sweep 2K,3K,16K failed (--jobs $jobs)"
+    cmp -s "$WORK/sweep_grid_fresh.json" "$WORK/sweep_grid.json" ||
+        fail "served sweep 2K,3K,16K diverged from fresh (--jobs $jobs)"
     # shellcheck disable=SC2086
     "$CLIENT" sweep --socket "$SOCK" $SWEEP_ARGS --stream-buffers 4 \
         --out "$WORK/sweep_sb.json" ||
